@@ -97,6 +97,31 @@ let work_items (chip : G.t) =
         c.G.units)
     chip.G.categories
 
+(* Equal keys mean equal preparation inputs up to the module name, which
+   preparation does not look at, hence equal prepared cones and
+   fingerprints. Property names and positions stand in for vunit names,
+   which embed the module name. [No_sharing] makes the bytes depend on
+   structure alone, not on how the generator happened to share subterms. *)
+let module_key (mdl : Rtl.Mdl.t) props =
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string
+          ({ mdl with Rtl.Mdl.name = "" }, props)
+          [ Marshal.No_sharing ]))
+
+(* One per module key: the structure's first module (any would do), its
+   ordered properties, and what has been computed for it so far — each
+   property's fingerprint, and the {!Mc.Engine.prepare_module} cones once
+   some obligation of the structure misses both journal and cache. *)
+type cell = {
+  c_lock : Mutex.t;
+  c_key : string;
+  c_mdl : Rtl.Mdl.t;
+  c_props : (string * Psl.Ast.fl * Psl.Ast.fl list) list;
+  mutable c_table : (Rtl.Netlist.t * string * string option) array option;
+  mutable c_fps : string array option;
+}
+
 (* a captured worker crash, rendered as a verdict so it can flow through
    Table 2 and the CSV like any other outcome *)
 let crash_outcome exn =
@@ -139,58 +164,105 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
   in
   let exec = Executor.of_jobs jobs in
   let use_racing = portfolio <> None && Executor.jobs exec > 1 in
-  (* Shared preparation: the P0/P1/P2 obligations of one module differ only
-     in their monitor cone, so the module-level work (inliner tables, the
-     pruner's elaboration, monitor weaving, the full elaborate) runs once
-     per module via {!Mc.Engine.prepare_module} and each obligation picks up
-     its own cone-reduced netlist. One cell per module, guarded by its own
-     mutex: the first worker to reach the module prepares for all of them,
-     siblings block briefly and reuse — whichever executor path (sequential,
-     pool, racing) gets there first. A crash during preparation leaves the
-     cell empty, so a retrying sibling re-prepares instead of inheriting a
-     poisoned table. *)
-  let module_props : (string, (string * Psl.Ast.fl * Psl.Ast.fl list) list)
-      Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let prep_cells = Hashtbl.create 64 in
-  let prop_key (w : work) = w.w_vunit_name ^ "/" ^ w.w_prop_name in
-  Array.iter
-    (fun w ->
-      let mname = w.w_mdl.Rtl.Mdl.name in
-      let prev =
-        match Hashtbl.find_opt module_props mname with
-        | Some l -> l
-        | None ->
-          Hashtbl.add prep_cells mname (Mutex.create (), ref None);
-          []
-      in
-      Hashtbl.replace module_props mname
-        (prev @ [ (prop_key w, w.w_assert, w.w_assumes) ]))
-    items;
-  let prepare_shared (w : work) =
-    let mname = w.w_mdl.Rtl.Mdl.name in
-    let lock, cell = Hashtbl.find prep_cells mname in
-    Mutex.lock lock;
-    let table =
-      Fun.protect ~finally:(fun () -> Mutex.unlock lock) @@ fun () ->
-      match !cell with
-      | Some tbl -> tbl
-      | None ->
-        let tbl =
-          Obs.Telemetry.span ~cat:"obligation"
-            ~args:[ ("module", mname) ]
-            (mname ^ ".prepare")
-            (fun () ->
-              Mc.Engine.prepare_module w.w_mdl
-                ~props:(Hashtbl.find module_props mname))
+  (* Shared preparation, keyed by structure: most leaves are copies of a few
+     templates. Each module gets a {!module_key} before anything is
+     prepared, and all modules with one key share a cell (see {!cell}):
+     the first worker to need a structure's fingerprints or prepared cones
+     fills them for every module of that structure, whichever executor path
+     (sequential, pool, racing, healing) gets there first; siblings block
+     briefly and reuse. A crash during preparation leaves the cell unfilled,
+     so a retrying sibling re-prepares instead of inheriting a poisoned
+     table. *)
+  let salt = Mc.Obligation.key_salt ?budget ?strategy () in
+  let module_props = Hashtbl.create 64 in
+  let pos =
+    Array.map
+      (fun w ->
+        let mname = w.w_mdl.Rtl.Mdl.name in
+        let prev =
+          Option.value ~default:[] (Hashtbl.find_opt module_props mname)
         in
-        cell := Some tbl;
-        tbl
-    in
-    Mc.Obligation.of_prepared ?budget ?strategy
-      (List.assoc (prop_key w) table)
-      ~meta:()
+        Hashtbl.replace module_props mname
+          ((w.w_prop_name, w.w_assert, w.w_assumes) :: prev);
+        List.length prev)
+      items
+  in
+  let cells = Hashtbl.create 32 and cell_of_module = Hashtbl.create 64 in
+  let cell =
+    Array.map
+      (fun w ->
+        let mname = w.w_mdl.Rtl.Mdl.name in
+        match Hashtbl.find_opt cell_of_module mname with
+        | Some c -> c
+        | None ->
+          let props = List.rev (Hashtbl.find module_props mname) in
+          let key = module_key w.w_mdl props in
+          let c =
+            match Hashtbl.find_opt cells key with
+            | Some c -> c
+            | None ->
+              let c =
+                { c_lock = Mutex.create (); c_key = key; c_mdl = w.w_mdl;
+                  c_props = props; c_table = None; c_fps = None }
+              in
+              Hashtbl.add cells key c;
+              c
+          in
+          Hashtbl.add cell_of_module mname c;
+          c)
+      items
+  in
+  (* the helpers below run under the cell's lock *)
+  let table c =
+    match c.c_table with
+    | Some t -> t
+    | None ->
+      let mname = c.c_mdl.Rtl.Mdl.name in
+      let t =
+        Obs.Telemetry.span ~cat:"obligation"
+          ~args:[ ("module", mname) ]
+          (mname ^ ".prepare")
+          (fun () ->
+            let label i = string_of_int i in
+            let tbl =
+              Mc.Engine.prepare_module c.c_mdl
+                ~props:(List.mapi (fun i (_, a, s) -> (label i, a, s)) c.c_props)
+            in
+            Array.init (List.length c.c_props) (fun i ->
+                List.assoc (label i) tbl))
+      in
+      c.c_table <- Some t;
+      t
+  in
+  let obligation c p =
+    Mc.Obligation.of_prepared ?budget ?strategy (table c).(p) ~meta:()
+  in
+  let fingerprints c =
+    match c.c_fps with
+    | Some fps -> fps
+    | None ->
+      (* the cache's first level answers without preparing; a position it
+         lacks is prepared and recorded there *)
+      let fps =
+        Array.init (List.length c.c_props) (fun p ->
+            match
+              Mc.Cache.find_fingerprint cache ~module_key:c.c_key ~pos:p ~salt
+            with
+            | Some fp -> fp
+            | None ->
+              let fp = Mc.Obligation.fingerprint (obligation c p) in
+              Mc.Cache.add_fingerprint cache ~module_key:c.c_key ~pos:p ~salt
+                fp;
+              fp)
+      in
+      c.c_fps <- Some fps;
+      fps
+  in
+  let fingerprint i =
+    Mutex.protect cell.(i).c_lock (fun () -> (fingerprints cell.(i)).(pos.(i)))
+  in
+  let prepared i =
+    Mutex.protect cell.(i).c_lock (fun () -> obligation cell.(i) pos.(i))
   in
   let stat f = match status with Some s -> f s | None -> () in
   let strat_name =
@@ -264,15 +336,15 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
          journal; the attribution marks it *)
       healed }
   in
-  let check_body (w : work) =
+  let check_body i =
+    let w = items.(i) in
     let ob_name = w.w_mdl.Rtl.Mdl.name ^ "." ^ w.w_prop_name in
     stat (fun s ->
         Status.begin_work s ~obligation:ob_name ~engine:strat_name ~attempt:1);
-    (* prepare inside the worker so instrumentation, elaboration and COI
-       reduction parallelize along with the engine runs; the module-level
-       half is shared across the module's obligations (see [prepare_shared]) *)
-    let ob = prepare_shared w in
-    let key = Mc.Obligation.fingerprint ob in
+    (* the fingerprint and, on a miss, the prepared cone come from the
+       structure's shared cell, filled inside the worker so preparation
+       parallelizes along with the engine runs *)
+    let key = fingerprint i in
     let outcome, cache_hit, replayed, attempts =
       match Option.bind journal (fun j -> Journal.replay j ~key) with
       | Some outcome -> (outcome, false, true, 0)
@@ -316,19 +388,20 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
                   (n + 1)
               end
           in
-          let outcome, attempts = attempt ob 1 in
+          let outcome, attempts = attempt (prepared i) 1 in
           record ~key outcome;
           (outcome, false, false, attempts))
     in
     finish w ~cache_hit ~replayed ~attempts outcome
   in
-  let check (w : work) =
+  let check i =
+    let w = items.(i) in
     Obs.Telemetry.span ~cat:"obligation"
       ~args:
         [ ("category", w.w_category); ("module", w.w_mdl.Rtl.Mdl.name);
           ("property", w.w_prop_name) ]
       (w.w_mdl.Rtl.Mdl.name ^ "." ^ w.w_prop_name)
-      (fun () -> check_body w)
+      (fun () -> check_body i)
   in
   (* The racing path: preparation and cache/journal lookup happen when the
      scheduler opens the group; on a miss the portfolio members become the
@@ -340,15 +413,15 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
      to the same portfolio laddered on one domain. Member crashes become
      non-conclusive [Error] member outcomes — the race continues and the
      sibling verdicts still decide the obligation. *)
-  let open_group (w : work) =
+  let open_group i =
+    let w = items.(i) in
     Obs.Telemetry.span ~cat:"obligation"
       ~args:
         [ ("category", w.w_category); ("module", w.w_mdl.Rtl.Mdl.name);
           ("property", w.w_prop_name) ]
       (w.w_mdl.Rtl.Mdl.name ^ "." ^ w.w_prop_name ^ ".open")
     @@ fun () ->
-    let ob = prepare_shared w in
-    let key = Mc.Obligation.fingerprint ob in
+    let key = fingerprint i in
     match Option.bind journal (fun j -> Journal.replay j ~key) with
     | Some outcome ->
       Executor.Done
@@ -360,6 +433,7 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
         Executor.Done
           (finish w ~cache_hit:true ~replayed:false ~attempts:0 outcome)
       | None ->
+        let ob = prepared i in
         let members =
           match ob.Mc.Obligation.strategy with
           | Mc.Engine.Portfolio p -> Array.of_list p.Mc.Engine.p_members
@@ -423,8 +497,10 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
     (* the executor's per-item isolation is the outer safety net: anything
        that escapes the retry ladder (a crash in prepare, a raising progress
        callback) still yields a row instead of losing the campaign *)
-    (if use_racing then Executor.race_map_result exec ?race_jobs open_group items
-     else Executor.map_result exec check items)
+    let indices = Array.init total Fun.id in
+    (if use_racing then
+       Executor.race_map_result exec ?race_jobs open_group indices
+     else Executor.map_result exec check indices)
     |> Array.mapi (fun i -> function
          | Ok r -> r
          | Error exn ->
@@ -504,9 +580,9 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
         (match hr.Heal.h_outcome with
         | None -> ()
         | Some out ->
-          (* checkpoint under the monolithic key — the shared prep cell is
-             already warm from the main pass *)
-          record ~key:(Mc.Obligation.fingerprint (prepare_shared w)) out;
+          (* checkpoint under the monolithic key — the shared cell already
+             holds it from the main pass *)
+          record ~key:(fingerprint i) out;
           if Mc.Engine.conclusive out then
             Obs.Telemetry.count "heal.recovered");
         hr

@@ -8,8 +8,13 @@
     OCaml 5 domain pool via [?jobs]), and every prepared check is answered
     through a structural result cache ({!Mc.Cache}) keyed on the reduced
     netlist's canonical fingerprint — so the N structurally identical
-    subunits of a category are proved once. Results are index-ordered, so
-    verdicts are identical whatever the backend or job count.
+    subunits of a category are proved once. Preparation is shared the same
+    way one level up: modules whose bodies (name aside) and properties are
+    equal are prepared and fingerprinted once, and a cache that already
+    holds a structure's fingerprints (its first level, see {!Mc.Cache})
+    skips that structure's preparation unless an obligation misses. Results
+    are index-ordered, so verdicts are identical whatever the backend or
+    job count.
 
     The runtime is fault-tolerant in three layers:
     - {b deadlines} — set [wall_deadline_s] in the budget and any obligation

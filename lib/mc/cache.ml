@@ -1,12 +1,17 @@
+(* first level: (module key, property position, strategy/budget salt) *)
+type index_key = string * int * string
+
 type t = {
   tbl : (string, Engine.outcome) Hashtbl.t;
+  index : (index_key, string) Hashtbl.t;
   lock : Mutex.t;
   mutable hits : int;
   mutable misses : int;
 }
 
 let create () =
-  { tbl = Hashtbl.create 1024; lock = Mutex.create (); hits = 0; misses = 0 }
+  { tbl = Hashtbl.create 1024; index = Hashtbl.create 1024;
+    lock = Mutex.create (); hits = 0; misses = 0 }
 
 let with_lock c f =
   Mutex.lock c.lock;
@@ -30,6 +35,14 @@ let find c ~key =
 
 let add c ~key o = with_lock c (fun () -> Hashtbl.replace c.tbl key o)
 
+(* index lookups are bookkeeping, not verdicts: they leave [hits]/[misses]
+   alone *)
+let find_fingerprint c ~module_key ~pos ~salt =
+  with_lock c (fun () -> Hashtbl.find_opt c.index (module_key, pos, salt))
+
+let add_fingerprint c ~module_key ~pos ~salt fp =
+  with_lock c (fun () -> Hashtbl.replace c.index (module_key, pos, salt) fp)
+
 let find_or_run c ~key f =
   match find c ~key with
   | Some o -> (o, true)
@@ -48,21 +61,26 @@ let reset_stats c =
       c.misses <- 0)
 
 (* bump when Engine.outcome (or anything reachable from it) changes shape:
-   Marshal gives no type safety across versions *)
-let magic = "dicheck-cache-v3\n"
+   Marshal gives no type safety across versions — and when preparation
+   changes, since the persisted index maps module keys to the fingerprints
+   preparation produced *)
+let magic = "dicheck-cache-v4\n"
+
+type file = (string * Engine.outcome) list * (index_key * string) list
 
 (* atomic: a crash (or SIGKILL) mid-save leaves either the previous cache or
    the new one on disk, never a truncated file that poisons later runs *)
 let save c path =
-  let entries =
+  let contents : file =
     with_lock c (fun () ->
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) c.tbl [])
+        let list tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
+        (list c.tbl, list c.index))
   in
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
   let oc = open_out_bin tmp in
   (match
      output_string oc magic;
-     Marshal.to_channel oc (entries : (string * Engine.outcome) list) [];
+     Marshal.to_channel oc contents [];
      flush oc;
      (try Unix.fsync (Unix.descr_of_out_channel oc)
       with Unix.Unix_error _ -> ());
@@ -90,10 +108,11 @@ let load path =
       (fun () ->
         match really_input_string ic (String.length magic) with
         | tag when tag = magic -> (
-          match (Marshal.from_channel ic : (string * Engine.outcome) list) with
-          | entries ->
+          match (Marshal.from_channel ic : file) with
+          | entries, index ->
             let c = create () in
             List.iter (fun (k, v) -> Hashtbl.replace c.tbl k v) entries;
+            List.iter (fun (k, v) -> Hashtbl.replace c.index k v) index;
             Some c
           | exception _ -> corrupt "truncated or corrupt")
         | _ -> corrupt "from another format version"

@@ -60,10 +60,13 @@ let rec strategy_salt = function
             p.Engine.p_members))
   | s -> Engine.strategy_name s
 
+let key_salt ?(budget = Engine.default_budget) ?(strategy = Engine.Auto) () =
+  Printf.sprintf "%s|%s" (strategy_salt strategy) (budget_salt budget)
+
 let fingerprint ?salt o =
   let salt =
-    Printf.sprintf "%s|%s%s" (strategy_salt o.strategy) (budget_salt o.budget)
-      (match salt with None -> "" | Some s -> "|" ^ s)
+    key_salt ~budget:o.budget ~strategy:o.strategy ()
+    ^ match salt with None -> "" | Some s -> "|" ^ s
   in
   let roots =
     o.ok_signal

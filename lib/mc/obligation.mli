@@ -69,6 +69,13 @@ val fingerprint : ?salt:string -> _ t -> string
     sub-proofs salted with their cut set) use it to guarantee their keys
     never collide with the monolithic obligation's. *)
 
+val key_salt :
+  ?budget:Engine.budget -> ?strategy:Engine.strategy -> unit -> string
+(** The strategy/budget part of {!fingerprint}'s salt, with {!prepare}'s
+    defaults. Exposed so a key computed before preparation — the module
+    level of {!Cache}'s two-level key — varies with exactly what the
+    fingerprint varies with. *)
+
 val run : ?cancel:(unit -> bool) -> _ t -> Engine.outcome
 (** Execute the prepared check ({!Engine.check_netlist}). [cancel] is the
     cooperative stop hook — see {!Engine.check_netlist}. *)

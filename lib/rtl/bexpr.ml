@@ -10,25 +10,27 @@ and node =
   | Xor of t * t
   | Ite of t * t * t
 
-let counter = ref 1
+(* shared by every domain of a parallel campaign: ids must stay unique
+   across domains, or id-keyed memo tables conflate distinct nodes *)
+let counter = Atomic.make 1
 
-let mk node =
-  incr counter;
-  { id = !counter; node }
+let mk node = { id = Atomic.fetch_and_add counter 1 + 1; node }
 
 let tru = { id = 0; node = True }
 let fls = { id = 1; node = False }
 let of_bool b = if b then tru else fls
 
 let var_cache : (int, t) Hashtbl.t = Hashtbl.create 97
+let var_lock = Mutex.create ()
 
 let var i =
-  match Hashtbl.find_opt var_cache i with
-  | Some v -> v
-  | None ->
-    let v = mk (Var i) in
-    Hashtbl.replace var_cache i v;
-    v
+  Mutex.protect var_lock (fun () ->
+      match Hashtbl.find_opt var_cache i with
+      | Some v -> v
+      | None ->
+        let v = mk (Var i) in
+        Hashtbl.replace var_cache i v;
+        v)
 
 let is_const e =
   match e.node with True -> Some true | False -> Some false | _ -> None
