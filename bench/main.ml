@@ -254,9 +254,9 @@ let table2 () =
    decides all 2047 obligations inside its node limit), so the effect the
    scheduler exists for — overlapping a ladder's serial stages — is
    measured where the ladder actually ladders: a small BDD node cap makes
-   the same obligations escalate under both configurations, then Auto pays
-   its rungs in sequence while the portfolio races them. Fresh caches on
-   both sides keep the comparison cold. *)
+   the same obligations escalate under both configurations, then the auto
+   ladder pays its rungs in sequence while the portfolio races them. Fresh
+   caches on both sides keep the comparison cold. *)
 let racing () =
   header "Portfolio racing vs the auto ladder (constrained budget)";
   let base =

@@ -41,10 +41,12 @@ let strategy_names =
     "k-induction"; "ic3"; "auto" ]
 
 (* the one strategy-name parser (Engine.strategy_of_string) behind the one
-   CLI error message, shared by `campaign --portfolio` and `check --strategy` *)
-let strategy_of_name name =
+   CLI error message, shared by `campaign --portfolio` and `check --strategy`;
+   "auto" is the default ladder at the budget in effect *)
+let strategy_of_name ~budget name =
   match Mc.Engine.strategy_of_string name with
   | Some s -> s
+  | None when name = "auto" -> Mc.Engine.auto budget
   | None ->
     Printf.eprintf "unknown strategy %s (try: %s)\n" name
       (String.concat ", " strategy_names);
@@ -160,7 +162,7 @@ let campaign_cmd =
       in
       (* record spans/counters only when an artifact actually wants them *)
       let recording = trace <> None || metrics <> None in
-      if recording then Core.Telemetry.start ();
+      if recording then Obs.Telemetry.start ();
       let budget =
         match (deadline, node_limit, no_incremental) with
         | None, None, false -> None
@@ -189,7 +191,7 @@ let campaign_cmd =
             let members =
               List.map
                 (fun n ->
-                  { Mc.Engine.m_strategy = strategy_of_name n;
+                  { Mc.Engine.m_strategy = strategy_of_name ~budget:base n;
                     m_budget = base })
                 (String.split_on_char ',' spec)
             in
@@ -265,7 +267,7 @@ let campaign_cmd =
            "diagnosis written to %s (%d falsified, %d confirmed by replay)\n"
            dir n confirmed);
       let report =
-        if recording then Some (Core.Telemetry.stop ()) else None
+        if recording then Some (Obs.Telemetry.stop ()) else None
       in
       (match (trace, report) with
        | Some path, Some rep ->
@@ -768,12 +770,11 @@ let fig7_cmd =
 
 let check_cmd =
   let run arch bug psl_file strategy no_incremental =
-    let strategy = Option.map strategy_of_name strategy in
     let budget =
-      if no_incremental then
-        Some { Mc.Engine.default_budget with Mc.Engine.incremental = false }
-      else None
+      { Mc.Engine.default_budget with
+        Mc.Engine.incremental = not no_incremental }
     in
+    let strategy = Option.map (strategy_of_name ~budget) strategy in
     let leaf = make_archetype ~bug arch in
     let info = Verifiable.Transform.apply leaf.Chip.Archetype.mdl in
     let vunits =
@@ -808,7 +809,7 @@ let check_cmd =
             in
             Printf.printf "%-28s %-30s %s (%.3fs)\n" name verdict
               o.Mc.Engine.engine_used o.Mc.Engine.time_s)
-          (Mc.Engine.check_vunit ?budget ?strategy
+          (Mc.Engine.check_vunit ~budget ?strategy
              info.Verifiable.Transform.mdl vunit))
       vunits;
     exit (if !failures > 0 then 1 else 0)

@@ -157,10 +157,12 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
   (* a portfolio is just a strategy; the fingerprint salt covers its members
      and budgets, so the cache/journal key is the same whether the members
      are then raced on a pool or laddered sequentially *)
+  let budget = Option.value budget ~default:Mc.Engine.default_budget in
   let strategy =
-    match portfolio with
-    | Some p -> Some (Mc.Engine.Portfolio p)
-    | None -> strategy
+    match (portfolio, strategy) with
+    | Some p, _ -> Mc.Engine.Portfolio p
+    | None, Some s -> s
+    | None, None -> Mc.Engine.auto budget
   in
   let exec = Executor.of_jobs jobs in
   let use_racing = portfolio <> None && Executor.jobs exec > 1 in
@@ -173,7 +175,7 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
      briefly and reuse. A crash during preparation leaves the cell unfilled,
      so a retrying sibling re-prepares instead of inheriting a poisoned
      table. *)
-  let salt = Mc.Obligation.key_salt ?budget ?strategy () in
+  let salt = Mc.Obligation.key_salt ~budget ~strategy () in
   let module_props = Hashtbl.create 64 in
   let pos =
     Array.map
@@ -235,7 +237,7 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
       t
   in
   let obligation c p =
-    Mc.Obligation.of_prepared ?budget ?strategy (table c).(p) ~meta:()
+    Mc.Obligation.of_prepared ~budget ~strategy (table c).(p) ~meta:()
   in
   let fingerprints c =
     match c.c_fps with
@@ -265,11 +267,7 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
     Mutex.protect cell.(i).c_lock (fun () -> obligation cell.(i) pos.(i))
   in
   let stat f = match status with Some s -> f s | None -> () in
-  let strat_name =
-    match strategy with
-    | Some s -> Mc.Engine.strategy_name s
-    | None -> "auto"
-  in
+  let strat_name = Mc.Engine.strategy_name strategy in
   stat (fun s ->
       Status.set_total s total;
       Status.set_phase s "campaign");
@@ -381,11 +379,7 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
                   Unix.sleepf
                     (Float.min 1.0
                        (retry_backoff_s *. (2.0 ** float_of_int (n - 1))));
-                attempt
-                  { ob with
-                    Mc.Obligation.budget =
-                      Mc.Engine.degrade_budget ob.Mc.Obligation.budget }
-                  (n + 1)
+                attempt (Mc.Obligation.degrade ob) (n + 1)
               end
           in
           let outcome, attempts = attempt (prepared i) 1 in
@@ -406,9 +400,9 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
   (* The racing path: preparation and cache/journal lookup happen when the
      scheduler opens the group; on a miss the portfolio members become the
      group's attempts, each a full engine run under its own member budget
-     with the scheduler's cancellation hook (plus the obligation's wall
-     deadline, fixed here at open — exactly where the sequential ladder
-     fixes it) threaded into every engine loop. [Engine.combine_portfolio]
+     and the obligation's one deadline — fixed here at open, as the
+     sequential ladder fixes it on entry — with the scheduler's
+     cancellation hook attached. [Engine.combine_portfolio]
      folds the attributed prefix, so a raced group reports byte-identically
      to the same portfolio laddered on one domain. Member crashes become
      non-conclusive [Error] member outcomes — the race continues and the
@@ -465,8 +459,7 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
                     fault w ~fingerprint:key (k + 1);
                     Mc.Engine.check_netlist ~budget:m.Mc.Engine.m_budget
                       ?constraint_signal:ob.Mc.Obligation.constraint_signal
-                      ~cancel:(fun () ->
-                        cancel () || Mc.Deadline.expired outer)
+                      ~deadline:(Mc.Deadline.with_stop outer cancel)
                       ~strategy:m.Mc.Engine.m_strategy ob.Mc.Obligation.nl
                       ~ok_signal:ob.Mc.Obligation.ok_signal
                   with
@@ -546,7 +539,7 @@ let run ?budget ?strategy ?portfolio ?(progress = fun (_ : progress) -> ())
           p.Heal.p_label
         @@ fun () ->
         let ob =
-          Mc.Obligation.prepare ?budget ?strategy p.Heal.p_mdl
+          Mc.Obligation.prepare ~budget ~strategy p.Heal.p_mdl
             ~assert_:p.Heal.p_assert ~assumes:p.Heal.p_assumes ~meta:()
         in
         let key = Mc.Obligation.fingerprint ~salt:p.Heal.p_salt ob in

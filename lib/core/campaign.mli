@@ -19,9 +19,9 @@
     The runtime is fault-tolerant in three layers:
     - {b deadlines} — set [wall_deadline_s] in the budget and any obligation
       that overruns it yields [Resource_out "deadline"] instead of hanging a
-      worker;
+      worker, whether its portfolio runs laddered or raced;
     - {b crash isolation + retry} — an obligation whose engine run raises is
-      retried with a degraded budget ({!Mc.Engine.degrade_budget}, capped by
+      retried with a degraded budget ({!Mc.Obligation.degrade}, capped by
       [max_retries], exponential backoff); a crash on the last rung becomes
       an {!Mc.Engine.Error} verdict in its row, and the executor's per-item
       isolation catches anything that escapes (e.g. a crash in preparation),
@@ -154,11 +154,14 @@ val run :
     verdicts across runs — e.g. the post-fix re-campaign. [progress] may be
     invoked from worker domains, serialized under a lock.
 
+    [budget] defaults to {!Mc.Engine.default_budget} and [strategy] to
+    {!Mc.Engine.auto} of that budget, which is never raced.
     [portfolio] overrides [strategy] with [Portfolio p] and, on a pool,
     switches the campaign to the racing scheduler
     ({!Executor.race_map_result}): each cache-missing obligation fans out
-    into one speculative engine run per member, the first conclusive
-    verdict cancels the surviving siblings, and
+    into one speculative engine run per member under the obligation's one
+    deadline, the first conclusive verdict cancels the surviving siblings,
+    and
     {!Mc.Engine.combine_portfolio} folds the attributed prefix. On one job
     the same portfolio runs as the engine's sequential short-circuiting
     ladder, so verdicts, attributed perf and cache/journal keys are
@@ -171,7 +174,8 @@ val run :
     [journal] checkpoints every completed obligation and replays the records
     it was opened with (see {!Journal.create} [~resume]). [max_retries]
     (default 2) caps crash re-runs per obligation; each retry degrades the
-    budget via {!Mc.Engine.degrade_budget} and sleeps [retry_backoff_s]
+    budget and every portfolio member's budget ({!Mc.Obligation.degrade})
+    and sleeps [retry_backoff_s]
     (default 0.05s) doubling per rung, capped at 1s. [fault_hook], intended
     for tests, runs in the worker just before each real engine attempt
     (never for cache hits or replays) — it can count engine invocations or

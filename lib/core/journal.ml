@@ -7,7 +7,7 @@
    last line — which the tolerant loader simply drops. *)
 
 (* v2: Engine.outcome gained a perf record *)
-let magic = "dicheck-journal-v2"
+let magic = "dicheck-journal-v3"
 
 type t = {
   path : string;

@@ -64,7 +64,7 @@ let reset_stats c =
    Marshal gives no type safety across versions — and when preparation
    changes, since the persisted index maps module keys to the fingerprints
    preparation produced *)
-let magic = "dicheck-cache-v4\n"
+let magic = "dicheck-cache-v5\n"
 
 type file = (string * Engine.outcome) list * (index_key * string) list
 

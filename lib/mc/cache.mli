@@ -18,10 +18,11 @@
     misses both the journal and the entries. Thread-safe: a single cache
     may be shared by every worker of a parallel executor, and across
     campaign runs within one process. [save]/[load] persist both levels
-    across processes; the format tag (bumped to v4 with the index)
-    invalidates files from earlier builds, and must be bumped again
-    whenever preparation changes, because a persisted index entry stands
-    for the fingerprint preparation produced when it was written.
+    across processes; the format tag (v4 added the index, v5 the [auto]
+    portfolio key salt) invalidates files from earlier builds, and must be
+    bumped again whenever preparation changes, because a persisted index
+    entry stands for the fingerprint preparation produced when it was
+    written.
 
     A reused [Failed] verdict carries the counterexample trace of the
     obligation that first populated the entry; for a structurally identical

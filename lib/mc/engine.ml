@@ -6,7 +6,6 @@ type strategy =
   | Bmc
   | Kind
   | Ic3
-  | Auto
   | Portfolio of portfolio
 
 and portfolio = { p_name : string; p_members : member list }
@@ -33,7 +32,6 @@ let strategy_name = function
   | Bmc -> "bmc"
   | Kind -> "k-induction"
   | Ic3 -> "ic3"
-  | Auto -> "auto"
   | Portfolio p -> "portfolio:" ^ p.p_name
 
 let strategy_of_string = function
@@ -44,7 +42,6 @@ let strategy_of_string = function
   | "bmc" -> Some Bmc
   | "k-induction" -> Some Kind
   | "ic3" -> Some Ic3
-  | "auto" -> Some Auto
   | _ -> None
 
 let default_budget =
@@ -66,7 +63,7 @@ let portfolio ~name members =
   List.iter
     (fun m ->
       match m.m_strategy with
-      | Auto | Portfolio _ ->
+      | Portfolio _ ->
         invalid_arg
           (Printf.sprintf
              "Engine.portfolio: member %s is not an atomic strategy"
@@ -77,18 +74,24 @@ let portfolio ~name members =
     members;
   { p_name = name; p_members = members }
 
+(* The paper's escalation: unbounded BDD checking, then the partitioned
+   engine under its larger node budget, then bounded checking. *)
+let auto budget =
+  Portfolio
+    (portfolio ~name:"auto"
+       (List.map
+          (fun s -> { m_strategy = s; m_budget = budget })
+          [ Bdd_combined; Pobdd; Bmc ]))
+
 (* The default racing portfolio. The BDD member runs with a small node cap:
    on this workload almost every obligation collapses in a few thousand
    nodes, so the cap only trips on the genuinely hard cones — exactly the
    ones worth racing the SAT engines on. The final POBDD member keeps the
-   full Auto-ladder budget as the conclusiveness backstop, so a portfolio
-   race decides every obligation the sequential ladder decides. Members get
-   no private wall deadline; the caller's overall deadline is threaded
-   through the cancellation hook instead. *)
+   full budget as the conclusiveness backstop, so a portfolio race decides
+   every obligation the [auto] ladder decides. *)
 let speculation_bdd_nodes = 5_000
 
 let default_portfolio base =
-  let base = { base with wall_deadline_s = None } in
   let cap =
     match base.bdd_node_limit with
     | Some n -> Some (min n speculation_bdd_nodes)
@@ -151,9 +154,10 @@ let conclusive o =
    prefix runs from member 0 through the first conclusive member (or all
    members when none concludes); within it, a conclusive verdict always
    wins, then a bounded proof (deeper is better), then resource-out, then
-   error — ties to the smallest index. This is a pure function of the
-   member outcomes, so the sequential ladder and a race that cancels
-   higher-indexed members at the same prefix agree exactly. *)
+   error — ties to the larger index, so a ladder that runs out reports its
+   last rung. This is a pure function of the member outcomes, so the
+   sequential ladder and a race that cancels higher-indexed members at the
+   same prefix agree exactly. *)
 let outcome_rank o =
   match o.verdict with
   | Proved | Failed _ -> (3, 0)
@@ -188,7 +192,7 @@ let combine_portfolio outcomes =
   let attributed = prefix [] outcomes in
   let winner =
     List.fold_left
-      (fun best o -> if outcome_rank o > outcome_rank best then o else best)
+      (fun best o -> if outcome_rank o >= outcome_rank best then o else best)
       (List.hd attributed) (List.tl attributed)
   in
   { verdict = winner.verdict;
@@ -307,6 +311,10 @@ let interrupt_cause deadline =
   else if Deadline.cancelled deadline then cancelled_msg
   else deadline_msg
 
+let resource_out msg engine =
+  { verdict = Resource_out msg; engine_used = engine; time_s = 0.0;
+    iterations = 0; work_nodes = 0; perf = empty_perf }
+
 let run_bdd ~acc ~node_limit ~deadline ~engine nl ok_signal constraint_signal
     check =
   acc.a_attempts_rev <- engine :: acc.a_attempts_rev;
@@ -342,13 +350,13 @@ let run_bdd ~acc ~node_limit ~deadline ~engine nl ok_signal constraint_signal
   match Telemetry.span ~cat:"engine" engine (fun () -> timed f) with
   | result ->
     record_man ();
-    Ok (of_reach acc engine result)
+    of_reach acc engine result
   | exception Bdd.Node_limit ->
     record_man ();
-    Stdlib.Error bdd_nodes_msg
+    resource_out bdd_nodes_msg engine
   | exception (Deadline.Expired | Bdd.Interrupted) ->
     record_man ();
-    Stdlib.Error (interrupt_cause deadline)
+    resource_out (interrupt_cause deadline) engine
 
 let run_bmc ~acc ~budget ~deadline nl ok_signal constraint_signal =
   acc.a_attempts_rev <- "bmc" :: acc.a_attempts_rev;
@@ -366,9 +374,7 @@ let run_bmc ~acc ~budget ~deadline nl ok_signal constraint_signal =
       ~ok_signal ~depth:budget.bmc_depth
   in
   match Telemetry.span ~cat:"engine" "bmc" (fun () -> timed f) with
-  | exception Deadline.Expired ->
-    { verdict = Resource_out deadline_msg; engine_used = "bmc"; time_s = 0.0;
-      iterations = 0; work_nodes = 0; perf = empty_perf }
+  | exception Deadline.Expired -> resource_out deadline_msg "bmc"
   | r, time_s ->
     (match r with
      | Bmc.No_violation_upto (d, stats) ->
@@ -391,91 +397,28 @@ let run_bmc ~acc ~budget ~deadline nl ok_signal constraint_signal =
          iterations = stats.Bmc.depth; work_nodes = stats.Bmc.cnf_clauses;
          perf = empty_perf })
 
-let rec check_netlist ?(budget = default_budget) ?constraint_signal ?cancel
-    ~strategy nl ~ok_signal =
-  match strategy with
-  | Portfolio p ->
-    (* Sequential portfolio execution: the jobs<=1 degradation of racing.
-       Members run in order until one is conclusive; the combined outcome
-       attributes exactly that prefix, which is the same prefix a race
-       settles on, so verdicts and perf aggregates agree byte-for-byte
-       with the racing scheduler. The caller's wall deadline and
-       cancellation reach every member through its [cancel] hook. *)
-    let deadline = Deadline.of_budget budget.wall_deadline_s in
-    let deadline =
-      match cancel with
-      | Some c -> Deadline.with_stop deadline c
-      | None -> deadline
-    in
-    let rec run_members acc_rev = function
-      | [] -> List.rev acc_rev
-      | m :: tl ->
-        let o =
-          check_netlist ~budget:m.m_budget ?constraint_signal
-            ~cancel:(Deadline.checker deadline) ~strategy:m.m_strategy nl
-            ~ok_signal
-        in
-        if conclusive o then List.rev (o :: acc_rev)
-        else run_members (o :: acc_rev) tl
-    in
-    combine_portfolio (run_members [] p.p_members)
-  | Bdd_forward | Bdd_backward | Bdd_combined | Pobdd | Bmc | Kind | Ic3
-  | Auto ->
-    check_atomic ~budget ?constraint_signal ?cancel ~strategy nl ~ok_signal
-
-and check_atomic ~budget ?constraint_signal ?cancel ~strategy nl ~ok_signal =
-  let deadline = Deadline.of_budget budget.wall_deadline_s in
-  let deadline =
-    match cancel with
-    | Some c -> Deadline.with_stop deadline c
-    | None -> deadline
-  in
+let check_atomic ~budget ?constraint_signal ~deadline ~strategy nl ~ok_signal =
   let acc = fresh_acc () in
-  let bdd check engine =
-    run_bdd ~acc ~node_limit:budget.bdd_node_limit ~deadline ~engine nl
-      ok_signal constraint_signal check
-  in
-  let pobdd () =
-    run_bdd ~acc ~node_limit:budget.pobdd_node_limit ~deadline
-      ~engine:"pobdd" nl ok_signal constraint_signal
-      (fun ?constrain ~deadline sym ok ->
-        Umc.check_forward_partitioned ?constrain ~deadline sym ~ok
-          ~num_split_vars:budget.pobdd_split_vars)
-  in
-  let resource_out msg engine =
-    { verdict = Resource_out msg; engine_used = engine; time_s = 0.0;
-      iterations = 0; work_nodes = 0; perf = empty_perf }
+  let bdd ?(node_limit = budget.bdd_node_limit) engine check =
+    run_bdd ~acc ~node_limit ~deadline ~engine nl ok_signal constraint_signal
+      check
   in
   let outcome =
     match strategy with
-    | Bdd_forward -> (
-      match
-        bdd (fun ?constrain ~deadline sym ok ->
-            Reach.check_forward ?constrain ~deadline sym ~ok)
-          "bdd-forward"
-      with
-      | Ok o -> o
-      | Error msg -> resource_out msg "bdd-forward")
-    | Bdd_backward -> (
-      match
-        bdd (fun ?constrain ~deadline sym ok ->
-            Reach.check_backward ?constrain ~deadline sym ~ok)
-          "bdd-backward"
-      with
-      | Ok o -> o
-      | Error msg -> resource_out msg "bdd-backward")
-    | Bdd_combined -> (
-      match
-        bdd (fun ?constrain ~deadline sym ok ->
-            Reach.check_combined ?constrain ~deadline sym ~ok)
-          "bdd-combined"
-      with
-      | Ok o -> o
-      | Error msg -> resource_out msg "bdd-combined")
-    | Pobdd -> (
-      match pobdd () with
-      | Ok o -> o
-      | Error msg -> resource_out msg "pobdd")
+    | Bdd_forward ->
+      bdd "bdd-forward" (fun ?constrain ~deadline sym ok ->
+          Reach.check_forward ?constrain ~deadline sym ~ok)
+    | Bdd_backward ->
+      bdd "bdd-backward" (fun ?constrain ~deadline sym ok ->
+          Reach.check_backward ?constrain ~deadline sym ~ok)
+    | Bdd_combined ->
+      bdd "bdd-combined" (fun ?constrain ~deadline sym ok ->
+          Reach.check_combined ?constrain ~deadline sym ~ok)
+    | Pobdd ->
+      bdd ~node_limit:budget.pobdd_node_limit "pobdd"
+        (fun ?constrain ~deadline sym ok ->
+          Umc.check_forward_partitioned ?constrain ~deadline sym ~ok
+            ~num_split_vars:budget.pobdd_split_vars)
     | Bmc -> run_bmc ~acc ~budget ~deadline nl ok_signal constraint_signal
     | Kind -> (
       acc.a_attempts_rev <- "k-induction" :: acc.a_attempts_rev;
@@ -560,30 +503,40 @@ and check_atomic ~budget ?constraint_signal ?cancel ~strategy nl ~ok_signal =
            { verdict = Resource_out msg; engine_used = "ic3"; time_s;
              iterations = s.Ic3.frames; work_nodes = s.Ic3.clauses;
              perf = empty_perf }))
-    | Auto -> (
-      match
-        bdd (fun ?constrain ~deadline sym ok ->
-            Reach.check_combined ?constrain ~deadline sym ~ok)
-          "bdd-combined"
-      with
-      | Ok o -> o
-      | Error _ when Deadline.expired deadline ->
-        (* out of wall-clock: escalating would only burn the worker longer *)
-        resource_out (interrupt_cause deadline) "bdd-combined"
-      | Error _ -> (
-        (* escalate: partitioned engine with a larger budget *)
-        match pobdd () with
-        | Ok o -> o
-        | Error _ when Deadline.expired deadline ->
-          resource_out (interrupt_cause deadline) "pobdd"
-        | Error _ ->
-          run_bmc ~acc ~budget ~deadline nl ok_signal constraint_signal))
     | Portfolio _ ->
-      (* dispatched by check_netlist before reaching the atomic runner *)
+      (* check_netlist runs a portfolio's atomic members one by one *)
       assert false
   in
   report_counters acc;
   { outcome with perf = perf_of_acc acc }
+
+let check_netlist ?(budget = default_budget) ?constraint_signal ?deadline
+    ~strategy nl ~ok_signal =
+  let deadline =
+    match deadline with
+    | Some d -> d
+    | None -> Deadline.of_budget budget.wall_deadline_s
+  in
+  match strategy with
+  | Portfolio p ->
+    (* Sequential portfolio execution: the jobs<=1 degradation of racing.
+       Members run in order under the one deadline until one is conclusive
+       or the deadline has passed; the combined outcome attributes exactly
+       that prefix, which is the same prefix a race settles on, so verdicts
+       and perf aggregates agree byte-for-byte with the racing scheduler. *)
+    let rec ladder acc_rev = function
+      | m :: tl when acc_rev = [] || not (Deadline.expired deadline) ->
+        let o =
+          check_atomic ~budget:m.m_budget ?constraint_signal ~deadline
+            ~strategy:m.m_strategy nl ~ok_signal
+        in
+        if conclusive o then List.rev (o :: acc_rev)
+        else ladder (o :: acc_rev) tl
+      | _ -> List.rev acc_rev
+    in
+    combine_portfolio (ladder [] p.p_members)
+  | Bdd_forward | Bdd_backward | Bdd_combined | Pobdd | Bmc | Kind | Ic3 ->
+    check_atomic ~budget ?constraint_signal ~deadline ~strategy nl ~ok_signal
 
 (* Inline combinationally-driven signals into the property's boolean layer
    and simplify, so that e.g. [HE[3]] where HE is a concatenation of checker
@@ -811,8 +764,8 @@ let problem_size mdl ~assert_ ~assumes =
   in
   (state, inputs)
 
-let check_property ?(budget = default_budget) ?(strategy = Auto) mdl ~assert_
-    ~assumes =
+let check_property ?(budget = default_budget) ?strategy mdl ~assert_ ~assumes =
+  let strategy = match strategy with Some s -> s | None -> auto budget in
   if not (Rtl.Mdl.is_leaf mdl) then
     invalid_arg
       (Printf.sprintf
@@ -824,9 +777,9 @@ let check_property ?(budget = default_budget) ?(strategy = Auto) mdl ~assert_
   in
   check_netlist ~budget ?constraint_signal ~strategy nl ~ok_signal
 
-let check_vunit ?(budget = default_budget) ?(strategy = Auto) mdl vunit =
+let check_vunit ?budget ?strategy mdl vunit =
   let assumes = List.map snd (Psl.Ast.assumes vunit) in
   List.map
     (fun (name, assert_) ->
-      (name, check_property ~budget ~strategy mdl ~assert_ ~assumes))
+      (name, check_property ?budget ?strategy mdl ~assert_ ~assumes))
     (Psl.Ast.asserts vunit)

@@ -1,7 +1,7 @@
 (** Engine facade: one entry point per property check, with resource budgets
-    and the paper's escalation workflow (try unbounded BDD checking; on
-    resource exhaustion fall back to the partitioned POBDD engine and then to
-    bounded checking). *)
+    and the paper's escalation workflow ({!auto}: try unbounded BDD
+    checking; on resource exhaustion fall back to the partitioned POBDD
+    engine and then to bounded checking). *)
 
 type strategy =
   | Bdd_forward
@@ -11,16 +11,17 @@ type strategy =
   | Bmc
   | Kind  (** SAT-based k-induction (unbounded) *)
   | Ic3  (** IC3/PDR incremental induction (unbounded, {!Ic3}) *)
-  | Auto  (** combined BDD → POBDD → BMC escalation *)
   | Portfolio of portfolio
-      (** a declarative member list consumed by the scheduler: raced on a
-          pool, run as a short-circuiting ladder sequentially *)
+      (** a declarative member list: raced on a pool by the campaign
+          scheduler, run by {!check_netlist} as a ladder that stops at the
+          first conclusive member. The escalation ladder {!auto} is one. *)
 
 and portfolio = { p_name : string; p_members : member list }
 
 and member = { m_strategy : strategy; m_budget : budget }
-(** One portfolio entry: an {e atomic} strategy (not [Auto] or a nested
-    [Portfolio]) with its own resource budget. *)
+(** One portfolio entry: an {e atomic} strategy (not a nested [Portfolio])
+    with its own resource budget. Its [wall_deadline_s] is not used: every
+    member runs under the deadline of the whole check. *)
 
 and budget = {
   bdd_node_limit : int option;
@@ -45,11 +46,11 @@ val strategy_name : strategy -> string
     Portfolios render as ["portfolio:<name>"]. *)
 
 val strategy_of_string : string -> strategy option
-(** Inverse of {!strategy_name} for the atomic strategies and [Auto] — the
-    one strategy-name parser, shared by every CLI entry point. Portfolio
-    names are not parsed here (a portfolio is a structured value, not a
-    name). Round-trips: [strategy_of_string (strategy_name s) = Some s] for
-    every non-portfolio [s]. *)
+(** Inverse of {!strategy_name} for the atomic strategies — the one
+    strategy-name parser, shared by every CLI entry point. Portfolio names,
+    ["auto"] included, are not parsed here (a portfolio is a structured
+    value, not a name). Round-trips: [strategy_of_string (strategy_name s) =
+    Some s] for every non-portfolio [s]. *)
 
 val default_budget : budget
 (** No wall deadline; the node/conflict limits of the seed configuration. *)
@@ -61,15 +62,20 @@ val degrade_budget : budget -> budget
 
 val portfolio : name:string -> member list -> portfolio
 (** Validated constructor: raises [Invalid_argument] on an empty member
-    list or a non-atomic member ([Auto]/nested [Portfolio]). *)
+    list or a nested [Portfolio] member. *)
+
+val auto : budget -> strategy
+(** The default strategy: the paper's escalation ladder as the portfolio
+    ["auto"] with members [bdd-combined], [pobdd] and [bmc], each at the
+    given budget. Run by {!check_netlist} it tries each member in turn
+    until one is conclusive or the deadline has passed, and reports the
+    last member it ran when none concludes. *)
 
 val default_portfolio : budget -> portfolio
 (** The standard racing portfolio derived from a base budget:
     [bdd-combined] with a small speculative node cap, [k-induction], [ic3],
-    and a full-budget [pobdd] backstop (so every obligation the [Auto]
-    ladder decides is still decided). Members carry no private wall
-    deadline — the caller's deadline reaches them through the cancellation
-    hook. *)
+    and a full-budget [pobdd] backstop (so every obligation the {!auto}
+    ladder decides is still decided). *)
 
 type verdict =
   | Proved
@@ -162,8 +168,9 @@ val combine_portfolio : outcome list -> outcome
     portfolio outcome. The attribution prefix runs from member 0 through
     the first {!conclusive} member (the whole list when none concludes);
     the winner is the best-ranked outcome of that prefix (conclusive >
-    bounded-deeper > resource-out > error, ties to the smallest index),
-    and the combined [perf] merges exactly the prefix — never the
+    bounded-deeper > resource-out > error). Equal ranks go to the larger
+    index, so a ladder that concludes nothing reports its last rung. The
+    combined [perf] merges exactly the prefix — never the
     schedule-dependent members a race may or may not have started beyond
     it. Both the sequential ladder and the racing scheduler report through
     this one function, which is what keeps seq ≡ race aggregates
@@ -172,7 +179,7 @@ val combine_portfolio : outcome list -> outcome
 val check_netlist :
   ?budget:budget ->
   ?constraint_signal:string ->
-  ?cancel:(unit -> bool) ->
+  ?deadline:Deadline.t ->
   strategy:strategy ->
   Rtl.Netlist.t ->
   ok_signal:string ->
@@ -180,18 +187,18 @@ val check_netlist :
 (** Check that the 1-bit [ok_signal] holds in every reachable state.
     [constraint_signal] names a 1-bit combinational function of the primary
     inputs; only inputs satisfying it are explored (invariant input
-    assumptions). When [budget.wall_deadline_s] is set, the deadline is
-    fixed on entry and polled cooperatively in every engine loop (BDD
-    fixpoint iterations and node allocations, POBDD partitions, BMC unroll
-    frames, CDCL search steps, IC3 obligations); an expired deadline yields
-    [Resource_out "deadline"] in bounded time instead of hanging.
+    assumptions).
 
-    [cancel] is an external cooperative stop hook polled at the same sites
-    as the deadline — the racing scheduler's cancellation path. A check cut
-    short by [cancel] (with the wall clock still unexpired) yields
+    [deadline] bounds the whole check; it defaults to
+    [budget.wall_deadline_s] fixed on entry. It is polled cooperatively in
+    every engine loop (BDD fixpoint iterations and node allocations, POBDD
+    partitions, BMC unroll frames, CDCL search steps, IC3 obligations); an
+    expired wall clock yields [Resource_out "deadline"] in bounded time
+    instead of hanging. A deadline that expired through its stop hook alone
+    ({!Deadline.with_stop}, the racing scheduler's cancellation path) yields
     [Resource_out "cancelled"]. A [Portfolio] strategy runs its members in
-    order with the enclosing deadline and [cancel] threaded into each, and
-    short-circuits on the first conclusive member. *)
+    order under this one deadline, stops at the first conclusive member,
+    and starts no member after the deadline has passed. *)
 
 val instrumented_netlist :
   Rtl.Mdl.t ->
@@ -247,7 +254,7 @@ val check_property :
   outcome
 (** Instrument a leaf module with the property monitor, elaborate it in
     isolation, and check. This is the paper's per-leaf-module model-checking
-    step. [strategy] defaults to [Auto]. *)
+    step. [strategy] defaults to [auto budget]. *)
 
 val problem_size :
   Rtl.Mdl.t -> assert_:Psl.Ast.fl -> assumes:Psl.Ast.fl list -> int * int

@@ -7,22 +7,21 @@ type 'meta t = {
   meta : 'meta;
 }
 
-let prepare ?(budget = Engine.default_budget) ?(strategy = Engine.Auto) mdl
-    ~assert_ ~assumes ~meta =
+let of_prepared ?(budget = Engine.default_budget) ?strategy
+    (nl, ok_signal, constraint_signal) ~meta =
+  let strategy = Option.value strategy ~default:(Engine.auto budget) in
+  { nl; ok_signal; constraint_signal; budget; strategy; meta }
+
+let prepare ?budget ?strategy mdl ~assert_ ~assumes ~meta =
   if not (Rtl.Mdl.is_leaf mdl) then
     invalid_arg
       (Printf.sprintf
          "Obligation.prepare: %s is not a leaf module; the methodology \
           checks leaf modules only"
          mdl.Rtl.Mdl.name);
-  let nl, ok_signal, constraint_signal =
-    Engine.instrumented_netlist mdl ~assert_ ~assumes
-  in
-  { nl; ok_signal; constraint_signal; budget; strategy; meta }
-
-let of_prepared ?(budget = Engine.default_budget) ?(strategy = Engine.Auto)
-    (nl, ok_signal, constraint_signal) ~meta =
-  { nl; ok_signal; constraint_signal; budget; strategy; meta }
+  of_prepared ?budget ?strategy
+    (Engine.instrumented_netlist mdl ~assert_ ~assumes)
+    ~meta
 
 let of_vunit ?budget ?strategy mdl vunit ~meta =
   let assumes = List.map snd (Psl.Ast.assumes vunit) in
@@ -60,7 +59,8 @@ let rec strategy_salt = function
             p.Engine.p_members))
   | s -> Engine.strategy_name s
 
-let key_salt ?(budget = Engine.default_budget) ?(strategy = Engine.Auto) () =
+let key_salt ?(budget = Engine.default_budget) ?strategy () =
+  let strategy = Option.value strategy ~default:(Engine.auto budget) in
   Printf.sprintf "%s|%s" (strategy_salt strategy) (budget_salt budget)
 
 let fingerprint ?salt o =
@@ -74,9 +74,22 @@ let fingerprint ?salt o =
   in
   Rtl.Canon.fingerprint ~salt ~roots o.nl
 
-let run ?cancel o =
+let run o =
   Engine.check_netlist ~budget:o.budget ?constraint_signal:o.constraint_signal
-    ?cancel ~strategy:o.strategy o.nl ~ok_signal:o.ok_signal
+    ~strategy:o.strategy o.nl ~ok_signal:o.ok_signal
+
+let degrade o =
+  let strategy =
+    match o.strategy with
+    | Engine.Portfolio p ->
+      let degrade_member (m : Engine.member) =
+        { m with Engine.m_budget = Engine.degrade_budget m.Engine.m_budget }
+      in
+      Engine.Portfolio
+        { p with Engine.p_members = List.map degrade_member p.Engine.p_members }
+    | s -> s
+  in
+  { o with budget = Engine.degrade_budget o.budget; strategy }
 
 let size o =
   let state = Rtl.Netlist.state_bits o.nl in

@@ -30,9 +30,9 @@ val prepare :
   meta:'a ->
   'a t
 (** Instrument a leaf module with the property monitor and package the
-    reduced check. [strategy] defaults to [Auto], [budget] to
-    {!Engine.default_budget}. Raises [Invalid_argument] on non-leaf modules,
-    like {!Engine.check_property}. *)
+    reduced check. [budget] defaults to {!Engine.default_budget},
+    [strategy] to {!Engine.auto} of that budget. Raises [Invalid_argument]
+    on non-leaf modules, like {!Engine.check_property}. *)
 
 val of_prepared :
   ?budget:Engine.budget ->
@@ -76,9 +76,12 @@ val key_salt :
     level of {!Cache}'s two-level key — varies with exactly what the
     fingerprint varies with. *)
 
-val run : ?cancel:(unit -> bool) -> _ t -> Engine.outcome
-(** Execute the prepared check ({!Engine.check_netlist}). [cancel] is the
-    cooperative stop hook — see {!Engine.check_netlist}. *)
+val run : _ t -> Engine.outcome
+(** Execute the prepared check ({!Engine.check_netlist}). *)
+
+val degrade : 'a t -> 'a t
+(** One rung down the crash-retry ladder: {!Engine.degrade_budget} applied
+    to the obligation's budget and to every portfolio member's budget. *)
 
 val size : _ t -> int * int
 (** [(state bits, input bits)] of the prepared model — the paper's "problem

@@ -37,16 +37,16 @@ let attack_property mdl ~assert_ ~assumes =
   in
   let outcome =
     E.check_netlist ~budget:Differential.fuzz_budget ?constraint_signal
-      ~strategy:E.Auto nl ~ok_signal
+      ~strategy:(E.auto Differential.fuzz_budget) nl ~ok_signal
   in
   match outcome.E.verdict with
   | E.Failed trace -> (
     let rnl, rok, rcons = E.replay_model mdl ~assert_ ~assumes in
     let run =
-      Diag.Replay.run ?constraint_signal:rcons rnl ~ok_signal:rok
+      Core.Replay.run ?constraint_signal:rcons rnl ~ok_signal:rok
         (Mc.Trace.replay_stimulus trace)
     in
-    match Diag.Replay.validate trace run with
+    match Core.Replay.validate trace run with
     | Ok () -> Ok (Mc.Trace.length trace)
     | Error reason ->
       Error (Printf.sprintf "failed, but replay validation rejects: %s" reason))

@@ -219,14 +219,14 @@ let test_bmc_depth_sensitivity () =
        ~assert_ ~assumes:[])
 
 let test_node_limit_escalation () =
-  (* a tiny node budget forces the Auto strategy down to BMC *)
+  (* a tiny node budget forces the default ladder down to BMC *)
   let m = mod5 () in
   let budget =
     { Mc.Engine.default_budget with
       Mc.Engine.bdd_node_limit = Some 16; pobdd_node_limit = Some 16 }
   in
   let assert_ = Psl.Parser.fl_of_string "never ERR" in
-  let o = Mc.Engine.check_property ~budget ~strategy:Mc.Engine.Auto m ~assert_ ~assumes:[] in
+  let o = Mc.Engine.check_property ~budget m ~assert_ ~assumes:[] in
   Alcotest.(check string) "fell back to bmc" "bmc" o.Mc.Engine.engine_used;
   check_verdict "bounded result" "bounded" o
 
@@ -240,8 +240,7 @@ let test_strategy_names_roundtrip () =
         Alcotest.(check bool) (name ^ " round-trips") true (s' = s)
       | None -> Alcotest.failf "%s does not parse back" name)
     [ Mc.Engine.Bdd_forward; Mc.Engine.Bdd_backward; Mc.Engine.Bdd_combined;
-      Mc.Engine.Pobdd; Mc.Engine.Bmc; Mc.Engine.Kind; Mc.Engine.Ic3;
-      Mc.Engine.Auto ];
+      Mc.Engine.Pobdd; Mc.Engine.Bmc; Mc.Engine.Kind; Mc.Engine.Ic3 ];
   Alcotest.(check bool) "unknown name rejected" true
     (Mc.Engine.strategy_of_string "frobnicate" = None);
   (* portfolios are structured values, not names *)
@@ -251,7 +250,9 @@ let test_strategy_names_roundtrip () =
   Alcotest.(check bool) "portfolio names not parsed" true
     (Mc.Engine.strategy_of_string
        (Mc.Engine.strategy_name (Mc.Engine.Portfolio p))
-     = None)
+     = None);
+  Alcotest.(check bool) "the auto ladder is a portfolio too" true
+    (Mc.Engine.strategy_of_string "auto" = None)
 
 let test_problem_size () =
   let m = mod5 () in
@@ -768,6 +769,46 @@ let test_canonical_ro_causes () =
         (Mc.Engine.resource_cause (ro c)))
     Mc.Engine.ro_causes
 
+let test_combine_portfolio_ties () =
+  let o engine verdict =
+    { Mc.Engine.verdict; engine_used = engine; time_s = 1.0; iterations = 0;
+      work_nodes = 0;
+      perf = { Mc.Engine.empty_perf with attempts = [ engine ] } }
+  in
+  let ro c = Mc.Engine.Resource_out c in
+  let winner name expected outs =
+    Alcotest.(check string) name expected
+      (Mc.Engine.combine_portfolio outs).Mc.Engine.engine_used
+  in
+  (* equal non-conclusive ranks go to the later member: a ladder that
+     concludes nothing reports its last rung *)
+  let c =
+    Mc.Engine.combine_portfolio
+      [ o "a" (ro "bdd-nodes"); o "b" (ro "sat-conflicts") ]
+  in
+  Alcotest.(check string) "resource-out tie" "b" c.Mc.Engine.engine_used;
+  Alcotest.(check (option string)) "tie cause" (Some "sat-conflicts")
+    (Mc.Engine.resource_cause c);
+  winner "equal bounds tie" "b"
+    [ o "a" (Mc.Engine.Proved_bounded 5); o "b" (Mc.Engine.Proved_bounded 5) ];
+  (* the rank order itself is unchanged *)
+  winner "deeper bound wins" "a"
+    [ o "a" (Mc.Engine.Proved_bounded 7); o "b" (Mc.Engine.Proved_bounded 5) ];
+  winner "bound beats resource-out" "a"
+    [ o "a" (Mc.Engine.Proved_bounded 3); o "b" (ro "deadline") ];
+  winner "resource-out beats error" "a"
+    [ o "a" (ro "deadline"); o "b" (Mc.Engine.Error "boom") ];
+  (* the first conclusive member wins and ends the attributed prefix *)
+  let c =
+    Mc.Engine.combine_portfolio
+      [ o "a" (ro "bdd-nodes"); o "b" Mc.Engine.Proved;
+        o "c" Mc.Engine.Proved; o "d" (Mc.Engine.Proved_bounded 9) ]
+  in
+  Alcotest.(check string) "conclusive wins" "b" c.Mc.Engine.engine_used;
+  Alcotest.(check (list string)) "prefix attributed" [ "a"; "b" ]
+    c.Mc.Engine.perf.Mc.Engine.attempts;
+  Alcotest.(check (float 0.0)) "prefix time" 2.0 c.Mc.Engine.time_s
+
 let () =
   Alcotest.run "mc"
     [ ("sym",
@@ -790,6 +831,8 @@ let () =
            test_strategy_names_roundtrip;
          Alcotest.test_case "canonical resource-out causes" `Quick
            test_canonical_ro_causes;
+         Alcotest.test_case "portfolio attribution ties" `Quick
+           test_combine_portfolio_ties;
          Alcotest.test_case "problem size" `Quick test_problem_size ]);
       ("induction",
        [ Alcotest.test_case "k-induction basics" `Quick test_kinduction;

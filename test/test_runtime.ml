@@ -385,6 +385,79 @@ let test_retry_recovers_transient_crash () =
        (fun (pr : Core.Campaign.prop_result) -> pr.Core.Campaign.attempts = 2)
        r.Core.Campaign.results)
 
+(* a crash retry degrades a portfolio's member budgets too: a one-member
+   BDD portfolio whose node cap fits the target cone's peak proves it, but
+   the retry's halved cap does not *)
+let test_retry_degrades_portfolio_members () =
+  let mini = mini_chip () in
+  let bdd_only limit =
+    Mc.Engine.portfolio ~name:"bdd"
+      [ { Mc.Engine.m_strategy = Mc.Engine.Bdd_combined;
+          m_budget =
+            { Mc.Engine.default_budget with Mc.Engine.bdd_node_limit = limit }
+        } ]
+  in
+  (* the largest cone the BDD member actually ran, not a cache hit *)
+  let probe = Core.Campaign.run ~portfolio:(bdd_only None) mini in
+  let peak (r : Core.Campaign.prop_result) =
+    r.Core.Campaign.outcome.Mc.Engine.perf.Mc.Engine.bdd_peak
+  in
+  let target =
+    List.fold_left
+      (fun best (r : Core.Campaign.prop_result) ->
+        if r.Core.Campaign.cache_hit || peak r <= peak best then best else r)
+      (List.hd probe.Core.Campaign.results)
+      probe.Core.Campaign.results
+  in
+  let p = peak target in
+  Alcotest.(check bool) "target cone is not trivial" true (p >= 64);
+  let crash_first ~module_name ~prop_name ~fingerprint:_ ~attempt =
+    if module_name = target.Core.Campaign.module_name
+       && prop_name = target.Core.Campaign.prop_name && attempt = 1
+    then failwith "transient fault"
+  in
+  let r =
+    Core.Campaign.run ~portfolio:(bdd_only (Some (p + (p / 4))))
+      ~fault_hook:crash_first ~retry_backoff_s:0.0 mini
+  in
+  let row =
+    List.find
+      (fun (x : Core.Campaign.prop_result) ->
+        x.Core.Campaign.module_name = target.Core.Campaign.module_name
+        && x.Core.Campaign.prop_name = target.Core.Campaign.prop_name)
+      r.Core.Campaign.results
+  in
+  Alcotest.(check int) "retried once" 2 row.Core.Campaign.attempts;
+  Alcotest.(check (option string)) "halved member cap runs out"
+    (Some "bdd-nodes")
+    (Mc.Engine.resource_cause row.Core.Campaign.outcome)
+
+(* an expired wall deadline reads "deadline" on every resource-out of a
+   portfolio campaign, laddered or raced: the racer's stop hook must not
+   make an expiry look like a cancellation *)
+let test_portfolio_deadline_cause () =
+  let mini = mini_chip () in
+  let budget =
+    { Mc.Engine.default_budget with Mc.Engine.wall_deadline_s = Some 0.0 }
+  in
+  let portfolio = Mc.Engine.default_portfolio budget in
+  List.iter
+    (fun jobs ->
+      let r = Core.Campaign.run ~budget ~portfolio ~jobs mini in
+      let causes =
+        List.filter_map
+          (fun (x : Core.Campaign.prop_result) ->
+            Mc.Engine.resource_cause x.Core.Campaign.outcome)
+          r.Core.Campaign.results
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d: resource-outs" jobs) true (causes <> []);
+      List.iter
+        (Alcotest.(check string) (Printf.sprintf "jobs=%d: cause" jobs)
+           "deadline")
+        causes)
+    [ 1; 2 ]
+
 (* ---- journal-driven resume in the campaign ---- *)
 
 let test_journal_resume_proves_nothing_twice () =
@@ -519,7 +592,12 @@ let () =
        [ Alcotest.test_case "injected crash becomes an Error row" `Quick
            test_crash_isolation;
          Alcotest.test_case "retry recovers a transient crash" `Quick
-           test_retry_recovers_transient_crash ]);
+           test_retry_recovers_transient_crash;
+         Alcotest.test_case "retry degrades portfolio members" `Quick
+           test_retry_degrades_portfolio_members ]);
+      ("race-deadline",
+       [ Alcotest.test_case "expiry reads deadline, laddered and raced"
+           `Quick test_portfolio_deadline_cause ]);
       ("resume",
        [ Alcotest.test_case "full journal replays everything" `Quick
            test_journal_resume_proves_nothing_twice;

@@ -265,7 +265,7 @@ let test_partition_agreement_across_engines () =
           ("bdd-backward", Mc.Engine.Bdd_backward);
           ("bdd-combined", Mc.Engine.Bdd_combined);
           ("pobdd", Mc.Engine.Pobdd); ("ic3", Mc.Engine.Ic3);
-          ("auto", Mc.Engine.Auto) ])
+          ("auto", Mc.Engine.auto Mc.Engine.default_budget) ])
     [ 3; 4 ]
 
 let test_mine_cuts () =
