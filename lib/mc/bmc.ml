@@ -45,7 +45,6 @@ type inc = {
   next_of : X.t array;
   ctx : Tseitin.ctx;
   solver : Solver.t;
-  cnf_var_of : (int, int) Hashtbl.t;
   mutable frame_states : X.t array list;
       (* per-frame symbolic state, newest first; head = frame [next_depth] *)
   mutable next_depth : int;   (* first frame not yet encoded *)
@@ -90,16 +89,8 @@ let create_inc ?constraint_signal nl ~ok_signal =
   let solver = Solver.create () in
   let ctx = Tseitin.create ~on_clause:(Solver.add_clause solver) () in
   { flat; nstate; ninputs; bad0; constraint0; next_of; ctx; solver;
-    cnf_var_of = Hashtbl.create 997; frame_states = [ state0 ];
+    frame_states = [ state0 ];
     next_depth = 0; bad_lits = [] }
-
-let var_map inc v =
-  match Hashtbl.find_opt inc.cnf_var_of v with
-  | Some cv -> cv
-  | None ->
-    let cv = Tseitin.fresh_var inc.ctx in
-    Hashtbl.replace inc.cnf_var_of v cv;
-    cv
 
 (* Encode frames [next_depth .. depth]: per frame, the bad literal (kept
    aside for assumption solving), the constraint as a permanent unit, and
@@ -121,7 +112,8 @@ let encode_to inc depth =
       (inc.bad0 :: (match inc.constraint0 with Some c -> [ c ] | None -> []))
       @ Array.to_list inc.next_of
     in
-    let lit e = Tseitin.lit_of_bexpr inc.ctx (var_map inc) e in
+    let var_map = Tseitin.input_var inc.ctx in
+    let lit e = Tseitin.lit_of_bexpr inc.ctx var_map e in
     (match X.substitute_many leaf_of roots with
      | [] -> assert false
      | bad :: rest ->
@@ -162,7 +154,7 @@ let inc_cnf_clauses inc = Tseitin.num_clauses inc.ctx
    state variable, or an input alias) evaluate in O(1) under the model. *)
 let trace_of_model inc model ~fail_frame =
   let bexpr_var_value v =
-    match Hashtbl.find_opt inc.cnf_var_of v with
+    match Tseitin.find_input inc.ctx v with
     | Some cv -> cv <= Array.length model && model.(cv - 1)
     | None -> false
   in

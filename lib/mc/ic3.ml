@@ -89,15 +89,7 @@ let check ?(incremental = true) ?(max_conflicts = max_int) ?(max_frames = 32)
      activation literal retired by a unit right after the solve. *)
   let inc_solver = Solver.create () in
   let inc_ctx = Tseitin.create ~on_clause:(Solver.add_clause inc_solver) () in
-  let inc_tbl = Hashtbl.create 197 in
-  let inc_var_map v =
-    match Hashtbl.find_opt inc_tbl v with
-    | Some cv -> cv
-    | None ->
-      let cv = Tseitin.fresh_var inc_ctx in
-      Hashtbl.replace inc_tbl v cv;
-      cv
-  in
+  let inc_var_map = Tseitin.input_var inc_ctx in
   let inc_state_lit v b =
     let sv = inc_var_map v in
     if b then sv else -sv
@@ -172,7 +164,7 @@ let check ?(incremental = true) ?(max_conflicts = max_int) ?(max_frames = 32)
     | Solver.Unknown -> raise Limit_hit
     | Solver.Sat model ->
       let value v =
-        match Hashtbl.find_opt inc_tbl v with
+        match Tseitin.find_input inc_ctx v with
         | Some cv -> cv <= Array.length model && model.(cv - 1)
         | None -> false
       in
@@ -186,15 +178,7 @@ let check ?(incremental = true) ?(max_conflicts = max_int) ?(max_frames = 32)
   let solve_query_scratch ~level ~block_cube ~target =
     incr n_sat_calls;
     let ctx = Tseitin.create () in
-    let tbl = Hashtbl.create 197 in
-    let var_map v =
-      match Hashtbl.find_opt tbl v with
-      | Some cv -> cv
-      | None ->
-        let cv = Tseitin.fresh_var ctx in
-        Hashtbl.replace tbl v cv;
-        cv
-    in
+    let var_map = Tseitin.input_var ctx in
     let state_lit v b =
       let sv = var_map v in
       if b then sv else -sv
@@ -234,7 +218,7 @@ let check ?(incremental = true) ?(max_conflicts = max_int) ?(max_frames = 32)
     | Solver.Unknown -> raise Limit_hit
     | Solver.Sat model ->
       let value v =
-        match Hashtbl.find_opt tbl v with
+        match Tseitin.find_input ctx v with
         | Some cv -> model.(cv - 1)
         | None -> false
       in

@@ -32,7 +32,6 @@ type step = {
   next_of : X.t array;
   ctx : Tseitin.ctx;
   solver : Solver.t;
-  cnf_var_of : (int, int) Hashtbl.t;
   mutable state : X.t array;  (* symbolic state of frame [next_frame] *)
   mutable next_frame : int;
   mutable ok_lits : (int * int) list;  (* (frame, literal), newest first *)
@@ -52,17 +51,8 @@ let create_step ?constraint_signal (flat : B.flat) ~nstate ~ninputs ~ok0 =
   let solver = Solver.create () in
   let ctx = Tseitin.create ~on_clause:(Solver.add_clause solver) () in
   { nstate; ninputs; ok0; constraint0; next_of; ctx; solver;
-    cnf_var_of = Hashtbl.create 997;
     state = Array.init (max nstate 1) X.var; next_frame = 0; ok_lits = [];
     asserted_upto = 0 }
-
-let step_var_map st v =
-  match Hashtbl.find_opt st.cnf_var_of v with
-  | Some cv -> cv
-  | None ->
-    let cv = Tseitin.fresh_var st.ctx in
-    Hashtbl.replace st.cnf_var_of v cv;
-    cv
 
 let step_subst st frame state =
   X.substitute (fun v ->
@@ -73,11 +63,11 @@ let step_encode_to st j =
   while st.next_frame <= j do
     let f = st.next_frame in
     let s = step_subst st f st.state in
-    let ok_lit = Tseitin.lit_of_bexpr st.ctx (step_var_map st) (s st.ok0) in
+    let var_map = Tseitin.input_var st.ctx in
+    let ok_lit = Tseitin.lit_of_bexpr st.ctx var_map (s st.ok0) in
     (match st.constraint0 with
      | Some c ->
-       Tseitin.assert_lit st.ctx
-         (Tseitin.lit_of_bexpr st.ctx (step_var_map st) (s c))
+       Tseitin.assert_lit st.ctx (Tseitin.lit_of_bexpr st.ctx var_map (s c))
      | None -> ());
     st.ok_lits <- (f, ok_lit) :: st.ok_lits;
     st.state <- Array.map s st.next_of;

@@ -1,8 +1,34 @@
 (* CDCL in the MiniSat style. Variables are 0-based internally; literal
    encoding is 2*v for the positive and 2*v+1 for the negative literal.
-   watches.(l) holds the indices of clauses currently watching literal l;
-   when l becomes false those clauses must find a new watch, propagate, or
-   conflict.
+
+   Layout. The hot paths run on flat int arrays and plain loops: no list
+   cell, closure or option is allocated per watch visit, decision or
+   backtrack.
+   - Clause ci is the int array clauses.(ci); the index names the clause
+     in watch stacks and reasons. Clauses are never deleted.
+   - Each literal's watch list is a growable int stack: watches.(l) holds
+     clause indices in slots 0 .. watch_n.(l)-1, and every clause is
+     watched by its first two literals. A stack starts as the shared empty
+     array and grows on its first push, so a literal costs nothing until a
+     clause watches it. Propagation visits a stack from its top (the most
+     recently pushed watch first) and pushes the watches it keeps back in
+     visit order: it reverses the live slots in place, then compacts them
+     front to back.
+   - The decision heap is a binary max-heap over (activity desc, var asc),
+     with each entry's activity copied into heap_key beside it. Sift-up
+     and pop move a hole instead of swapping; pop uses Floyd's method: the
+     hole sinks to a leaf along the larger children and the last entry
+     climbs back from there.
+   - [add_clause] sorts, deduplicates and filters each clause in a small
+     int array.
+
+   Search identity. The search is fixed by two orders: the visit order of
+   each watch stack above and the heap's (activity, index) order. Together
+   with the restart and phase policies they determine every propagation,
+   decision, learnt clause and model. test/test_sat.ml pins the counters
+   and models of fixed instances. A change that alters the search on
+   purpose (blocker literals, clause minimisation, another restart or
+   phase policy) updates those pins in the same commit.
 
    The solver is persistent/incremental: a [t] keeps its clause database,
    learnt clauses, VSIDS activities and saved phases across
@@ -38,10 +64,14 @@ let zero_stats =
 type t = {
   mutable nvars : int;       (* highest DIMACS variable seen *)
   mutable cap : int;         (* allocated capacity of the per-var arrays *)
+  (* clause store: clauses.(ci) holds clause ci's literals; the index is
+     the clause's name in watch stacks and reasons. Clauses are never
+     deleted. *)
   mutable clauses : int array array;
   mutable num_clauses : int;         (* problem + learnt *)
   mutable num_problem_clauses : int; (* clauses added through add_clause *)
-  mutable watches : int list array;  (* indexed by literal *)
+  mutable watches : int array array; (* per literal: a stack of clauses *)
+  mutable watch_n : int array;       (* per literal: live stack slots *)
   mutable assigns : int array;       (* -1 / 0 / 1 per var *)
   mutable level : int array;
   mutable reason : int array;        (* clause index or -1 *)
@@ -64,6 +94,7 @@ type t = {
      vars linger until popped; every unassigned var is always present
      (inserted on creation and on unassignment at backtrack). *)
   mutable heap : int array;
+  mutable heap_key : float array;  (* activity of heap.(i), kept in step *)
   mutable heap_size : int;
   mutable heap_pos : int array;  (* var -> heap slot, -1 when absent *)
   mutable phase : bool array;
@@ -79,71 +110,95 @@ type t = {
   mutable n_learned : int;
 }
 
+(* Unchecked int-array access for the hot loops. Each index they take is
+   bounded by a size the solver keeps: slots below watch_n.(l) and
+   heap_size, trail positions below trail_size, clause positions below the
+   clause's length, and variables below nvars. *)
+let[@inline] ( .!() ) (a : int array) i = Array.unsafe_get a i
+let[@inline] ( .!()<- ) (a : int array) i (x : int) = Array.unsafe_set a i x
+
 let neg l = l lxor 1
 let var_of l = l lsr 1
 let lit_of_var v sign = (v lsl 1) lor (if sign then 0 else 1)
 
-let create () =
-  let cap = 64 in
-  { nvars = 0; cap; clauses = Array.make 256 [||]; num_clauses = 0;
-    num_problem_clauses = 0; watches = Array.make (2 * cap) [];
+(* [cap] sizes every per-variable array, [clauses] the clause index *)
+let create_sized ~cap ~clauses =
+  let cap = max cap 1 in
+  { nvars = 0; cap; clauses = Array.make (max clauses 16) [||];
+    num_clauses = 0; num_problem_clauses = 0;
+    watches = Array.make (2 * cap) [||]; watch_n = Array.make (2 * cap) 0;
     assigns = Array.make cap (-1); level = Array.make cap 0;
     reason = Array.make cap (-1); trail = Array.make cap 0; trail_size = 0;
     qhead = 0; trail_lim = Array.make cap 0; n_levels = 0;
     activity = Array.make cap 0.0; var_inc = 1.0;
     phase = Array.make cap false; seen = Array.make cap false;
-    heap = Array.make cap 0; heap_size = 0; heap_pos = Array.make cap (-1);
+    heap = Array.make cap 0; heap_key = Array.make cap 0.0; heap_size = 0;
+    heap_pos = Array.make cap (-1);
     unsat = false;
     n_solves = 0; n_decisions = 0; n_conflicts = 0; n_propagations = 0;
     n_restarts = 0; n_learned = 0 }
 
-let heap_lt t a b =
-  t.activity.(a) > t.activity.(b)
-  || (t.activity.(a) = t.activity.(b) && a < b)
+let create () = create_sized ~cap:64 ~clauses:256
 
-let heap_swap t i j =
-  let a = t.heap.(i) and b = t.heap.(j) in
-  t.heap.(i) <- b;
-  t.heap.(j) <- a;
-  t.heap_pos.(b) <- i;
-  t.heap_pos.(a) <- j
-
-let rec heap_sift_up t i =
-  if i > 0 then begin
-    let p = (i - 1) / 2 in
-    if heap_lt t t.heap.(i) t.heap.(p) then begin
-      heap_swap t i p;
-      heap_sift_up t p
+(* move the hole at slot [i] up until [v] fits, then drop [v] into it *)
+let heap_place_up t i v =
+  let heap = t.heap and key = t.heap_key and pos = t.heap_pos in
+  let av = t.activity.(v) in
+  let i = ref i in
+  let climbing = ref true in
+  while !climbing && !i > 0 do
+    let p = (!i - 1) / 2 in
+    let u = heap.!(p) and au = key.(p) in
+    (* the heap order: higher activity first, then lower index *)
+    if av > au || (av = au && v < u) then begin
+      heap.!(!i) <- u;
+      key.(!i) <- au;
+      pos.!(u) <- !i;
+      i := p
     end
-  end
-
-let rec heap_sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let m = ref i in
-  if l < t.heap_size && heap_lt t t.heap.(l) t.heap.(!m) then m := l;
-  if r < t.heap_size && heap_lt t t.heap.(r) t.heap.(!m) then m := r;
-  if !m <> i then begin
-    heap_swap t i !m;
-    heap_sift_down t !m
-  end
+    else climbing := false
+  done;
+  heap.!(!i) <- v;
+  key.(!i) <- av;
+  pos.!(v) <- !i
 
 let heap_insert t v =
-  if t.heap_pos.(v) < 0 then begin
-    t.heap.(t.heap_size) <- v;
-    t.heap_pos.(v) <- t.heap_size;
+  if t.heap_pos.!(v) < 0 then begin
     t.heap_size <- t.heap_size + 1;
-    heap_sift_up t (t.heap_size - 1)
+    heap_place_up t (t.heap_size - 1) v
   end
 
+(* Floyd's pop: the root's hole sinks to a leaf along the larger children
+   (one comparison per level), then the last entry fills it from below *)
 let heap_pop t =
-  let v = t.heap.(0) in
-  t.heap_size <- t.heap_size - 1;
-  t.heap_pos.(v) <- -1;
-  if t.heap_size > 0 then begin
-    let last = t.heap.(t.heap_size) in
-    t.heap.(0) <- last;
-    t.heap_pos.(last) <- 0;
-    heap_sift_down t 0
+  let heap = t.heap and key = t.heap_key and pos = t.heap_pos in
+  let v = heap.!(0) in
+  pos.!(v) <- -1;
+  let n = t.heap_size - 1 in
+  t.heap_size <- n;
+  if n > 0 then begin
+    let i = ref 0 and child = ref 1 in
+    while !child < n do
+      let l = !child in
+      let r = l + 1 in
+      (* the larger child, chosen without a branch: which way a sinking
+         hole goes is a coin flip the predictor cannot learn *)
+      let c =
+        if r < n then begin
+          let kr = key.(r) and kl = key.(l) in
+          let tie_right = Bool.to_int (heap.!(r) < heap.!(l)) in
+          l + (Bool.to_int (kr > kl) lor (Bool.to_int (kr = kl) land tie_right))
+        end
+        else l
+      in
+      let u = heap.!(c) in
+      heap.!(!i) <- u;
+      key.(!i) <- key.(c);
+      pos.!(u) <- !i;
+      i := c;
+      child := (2 * c) + 1
+    done;
+    heap_place_up t !i heap.!(n)
   end;
   v
 
@@ -153,29 +208,24 @@ let grow_to t want =
     cap := 2 * !cap
   done;
   let cap = !cap in
-  let copy_int a fill =
-    let b = Array.make cap fill in
-    Array.blit a 0 b 0 t.cap; b
+  let copy a len fill =
+    let b = Array.make len fill in
+    Array.blit a 0 b 0 (min len (Array.length a)); b
   in
-  let watches = Array.make (2 * cap) [] in
-  Array.blit t.watches 0 watches 0 (2 * t.cap);
-  t.watches <- watches;
-  t.assigns <- copy_int t.assigns (-1);
-  t.level <- copy_int t.level 0;
-  t.reason <- copy_int t.reason (-1);
-  t.trail <- copy_int t.trail 0;
-  t.trail_lim <- copy_int t.trail_lim 0;
-  let activity = Array.make cap 0.0 in
-  Array.blit t.activity 0 activity 0 t.cap;
-  t.activity <- activity;
-  let copy_bool a =
-    let b = Array.make cap false in
-    Array.blit a 0 b 0 t.cap; b
-  in
-  t.phase <- copy_bool t.phase;
-  t.seen <- copy_bool t.seen;
-  t.heap <- copy_int t.heap 0;
-  t.heap_pos <- copy_int t.heap_pos (-1);
+  t.watches <- copy t.watches (2 * cap) [||];
+  t.watch_n <- copy t.watch_n (2 * cap) 0;
+  t.assigns <- copy t.assigns cap (-1);
+  t.level <- copy t.level cap 0;
+  t.reason <- copy t.reason cap (-1);
+  t.trail <- copy t.trail cap 0;
+  (* the level stack may already have outgrown [cap] on its own *)
+  t.trail_lim <- copy t.trail_lim (max cap (Array.length t.trail_lim)) 0;
+  t.activity <- copy t.activity cap 0.0;
+  t.phase <- copy t.phase cap false;
+  t.seen <- copy t.seen cap false;
+  t.heap <- copy t.heap cap 0;
+  t.heap_key <- copy t.heap_key cap 0.0;
+  t.heap_pos <- copy t.heap_pos cap (-1);
   t.cap <- cap
 
 let ensure_vars t n =
@@ -190,8 +240,8 @@ let ensure_vars t n =
 let num_vars t = t.nvars
 let num_clauses t = t.num_problem_clauses
 
-let value t l =
-  let a = t.assigns.(var_of l) in
+let[@inline] value t l =
+  let a = t.assigns.!(var_of l) in
   if a < 0 then -1 else a lxor (l land 1)
 
 let decision_level t = t.n_levels
@@ -207,32 +257,47 @@ let push_level t =
   t.trail_lim.(t.n_levels) <- t.trail_size;
   t.n_levels <- t.n_levels + 1
 
+let push_watch t l ci =
+  let n = t.watch_n.(l) in
+  let ws = t.watches.(l) in
+  let ws =
+    if n < Array.length ws then ws
+    else begin
+      let bigger = Array.make (max 2 (2 * n)) 0 in
+      Array.blit ws 0 bigger 0 n;
+      t.watches.(l) <- bigger;
+      bigger
+    end
+  in
+  ws.(n) <- ci;
+  t.watch_n.(l) <- n + 1
+
+(* store [lits] (at least two literals), watch its first two, and return
+   its index *)
 let add_clause_raw t lits =
-  let idx = t.num_clauses in
-  if idx >= Array.length t.clauses then begin
-    let bigger = Array.make (max 16 (2 * Array.length t.clauses)) [||] in
-    Array.blit t.clauses 0 bigger 0 idx;
+  let ci = t.num_clauses in
+  if ci >= Array.length t.clauses then begin
+    let bigger = Array.make (max 16 (2 * ci)) [||] in
+    Array.blit t.clauses 0 bigger 0 ci;
     t.clauses <- bigger
   end;
-  t.clauses.(idx) <- lits;
-  t.num_clauses <- idx + 1;
-  if Array.length lits >= 2 then begin
-    t.watches.(lits.(0)) <- idx :: t.watches.(lits.(0));
-    t.watches.(lits.(1)) <- idx :: t.watches.(lits.(1))
-  end;
-  idx
+  t.clauses.(ci) <- lits;
+  t.num_clauses <- ci + 1;
+  push_watch t lits.(0) ci;
+  push_watch t lits.(1) ci;
+  ci
 
-let enqueue t l reason =
+let[@inline] enqueue t l reason =
   match value t l with
   | 1 -> true
   | 0 -> false
   | _ ->
     let v = var_of l in
-    t.assigns.(v) <- 1 lxor (l land 1);
-    t.level.(v) <- decision_level t;
-    t.reason.(v) <- reason;
+    t.assigns.!(v) <- 1 lxor (l land 1);
+    t.level.!(v) <- decision_level t;
+    t.reason.!(v) <- reason;
     t.phase.(v) <- l land 1 = 0;
-    t.trail.(t.trail_size) <- l;
+    t.trail.!(t.trail_size) <- l;
     t.trail_size <- t.trail_size + 1;
     true
 
@@ -240,78 +305,122 @@ let lit_of_dimacs l =
   let v = abs l - 1 in
   lit_of_var v (l > 0)
 
-(* Add a problem clause (DIMACS literals). Must be called at decision level
-   0, i.e. between solves. Root-level simplification: literals already false
+(* Add a problem clause (DIMACS literals). Only legal at decision level 0,
+   i.e. between solves. Root-level simplification: literals already false
    at the root are dropped (root assignments are permanent), clauses already
    true at the root are discarded, the empty clause flips the solver into
-   [unsat] forever, units are enqueued at the root. *)
+   [unsat] forever, units are enqueued at the root. The literals are sorted
+   ascending and deduplicated in a small int array; the stored clause keeps
+   that order. *)
 let add_clause t clause =
+  if t.n_levels > 0 then
+    invalid_arg "Solver.add_clause: called during a solve (decision level > 0)";
   t.num_problem_clauses <- t.num_problem_clauses + 1;
   if not t.unsat then begin
-    let lits = List.sort_uniq compare (List.map lit_of_dimacs clause) in
-    List.iter (fun l -> ensure_vars t (var_of l + 1)) lits;
-    let tautology = List.exists (fun l -> List.mem (neg l) lits) lits in
-    let satisfied = List.exists (fun l -> value t l = 1) lits in
-    if not (tautology || satisfied) then begin
-      let lits = List.filter (fun l -> value t l <> 0) lits in
-      match lits with
-      | [] -> t.unsat <- true
-      | [ l ] -> if not (enqueue t l (-1)) then t.unsat <- true
-      | _ -> ignore (add_clause_raw t (Array.of_list lits))
-    end
+    let a = Array.of_list clause in
+    let n = Array.length a in
+    let top = ref 0 in
+    for i = 0 to n - 1 do
+      let l = lit_of_dimacs a.(i) in
+      if l > !top then top := l;
+      (* insertion sort: clauses are a handful of literals *)
+      let j = ref (i - 1) in
+      while !j >= 0 && Int.compare a.(!j) l > 0 do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- l
+    done;
+    if n > 0 then ensure_vars t (var_of !top + 1);
+    (* one pass over the sorted literals: drop duplicates and root-false
+       literals, spot tautologies (l and neg l are adjacent once sorted)
+       and root-true literals *)
+    let m = ref 0 and tautology = ref false and satisfied = ref false in
+    for i = 0 to n - 1 do
+      let l = a.(i) in
+      if i = 0 || l <> a.(i - 1) then begin
+        if i > 0 && l = neg a.(i - 1) then tautology := true;
+        match value t l with
+        | 1 -> satisfied := true
+        | 0 -> ()
+        | _ ->
+          a.(!m) <- l;
+          incr m
+      end
+    done;
+    if not (!tautology || !satisfied) then
+      match !m with
+      | 0 -> t.unsat <- true
+      | 1 -> if not (enqueue t a.(0) (-1)) then t.unsat <- true
+      | m -> ignore (add_clause_raw t (if m = n then a else Array.sub a 0 m))
   end
 
-(* returns the index of a conflicting clause, or -1 *)
+(* Returns the index of a conflicting clause, or -1. For each literal made
+   false, its watch stack is reversed in place so that the visit order (top
+   first) runs front to back; kept watches are then compacted to the front
+   in visit order, which leaves the last one visited on top — exactly where
+   a re-push in visit order would put it. After a conflict the unvisited
+   watches are kept as they are. *)
 let propagate t =
   let conflict = ref (-1) in
   while !conflict < 0 && t.qhead < t.trail_size do
-    let p = t.trail.(t.qhead) in
+    let p = t.trail.!(t.qhead) in
     t.qhead <- t.qhead + 1;
     t.n_propagations <- t.n_propagations + 1;
     let false_lit = neg p in
-    let ws = t.watches.(false_lit) in
-    t.watches.(false_lit) <- [];
-    let rec process = function
-      | [] -> ()
-      | ci :: rest when !conflict >= 0 ->
-        (* conflict already found: retain remaining watches untouched *)
-        t.watches.(false_lit) <- ci :: t.watches.(false_lit);
-        process rest
-      | ci :: rest ->
-        let lits = t.clauses.(ci) in
-        if lits.(0) = false_lit then begin
-          lits.(0) <- lits.(1);
-          lits.(1) <- false_lit
+    let ws = Array.unsafe_get t.watches false_lit in
+    let n = t.watch_n.!(false_lit) in
+    let lo = ref 0 and hi = ref (n - 1) in
+    while !lo < !hi do
+      let x = ws.!(!lo) in
+      ws.!(!lo) <- ws.!(!hi);
+      ws.!(!hi) <- x;
+      incr lo;
+      decr hi
+    done;
+    let kept = ref 0 in
+    for i = 0 to n - 1 do
+      let ci = ws.!(i) in
+      if !conflict >= 0 then begin
+        ws.!(!kept) <- ci;
+        incr kept
+      end
+      else begin
+        let lits = Array.unsafe_get t.clauses ci in
+        if lits.!(0) = false_lit then begin
+          lits.!(0) <- lits.!(1);
+          lits.!(1) <- false_lit
         end;
-        if value t lits.(0) = 1 then begin
-          t.watches.(false_lit) <- ci :: t.watches.(false_lit);
-          process rest
+        let first = lits.!(0) in
+        if value t first = 1 then begin
+          ws.!(!kept) <- ci;
+          incr kept
         end
         else begin
-          let n = Array.length lits in
-          let rec find_watch k =
-            if k >= n then -1
-            else if value t lits.(k) <> 0 then k
-            else find_watch (k + 1)
-          in
-          let k = find_watch 2 in
-          if k >= 0 then begin
-            lits.(1) <- lits.(k);
-            lits.(k) <- false_lit;
-            t.watches.(lits.(1)) <- ci :: t.watches.(lits.(1));
-            process rest
+          (* first non-false literal past the two watches *)
+          let len = Array.length lits in
+          let k = ref 2 in
+          while !k < len && value t lits.!(!k) = 0 do
+            incr k
+          done;
+          if !k < len then begin
+            let l = lits.!(!k) in
+            lits.!(1) <- l;
+            lits.!(!k) <- false_lit;
+            push_watch t l ci
           end
           else begin
-            t.watches.(false_lit) <- ci :: t.watches.(false_lit);
-            if not (enqueue t lits.(0) ci) then begin
+            ws.!(!kept) <- ci;
+            incr kept;
+            if not (enqueue t first ci) then begin
               conflict := ci;
               t.qhead <- t.trail_size
-            end;
-            process rest
+            end
           end
         end
-    in
-    process ws
+      end
+    done;
+    t.watch_n.!(false_lit) <- !kept
   done;
   !conflict
 
@@ -323,9 +432,12 @@ let bump t v =
     for i = 0 to t.nvars - 1 do
       t.activity.(i) <- t.activity.(i) *. 1e-100
     done;
+    for i = 0 to t.heap_size - 1 do
+      t.heap_key.(i) <- t.heap_key.(i) *. 1e-100
+    done;
     t.var_inc <- t.var_inc *. 1e-100
   end;
-  if t.heap_pos.(v) >= 0 then heap_sift_up t t.heap_pos.(v)
+  if t.heap_pos.(v) >= 0 then heap_place_up t t.heap_pos.(v) v
 
 let analyze t confl =
   let learnt = ref [] in
@@ -385,9 +497,9 @@ let backtrack t lvl =
   if decision_level t > lvl then begin
     let bound = t.trail_lim.(lvl) in
     for i = t.trail_size - 1 downto bound do
-      let v = var_of t.trail.(i) in
-      t.assigns.(v) <- -1;
-      t.reason.(v) <- -1;
+      let v = var_of t.trail.!(i) in
+      t.assigns.!(v) <- -1;
+      t.reason.!(v) <- -1;
       heap_insert t v
     done;
     t.trail_size <- bound;
@@ -425,7 +537,7 @@ let decide t assumps =
     let best = ref (-1) in
     while !best < 0 && t.heap_size > 0 do
       let v = heap_pop t in
-      if t.assigns.(v) < 0 then best := v
+      if t.assigns.!(v) < 0 then best := v
     done;
     if !best < 0 then All_assigned
     else begin
@@ -544,9 +656,12 @@ let solve_assuming ?max_conflicts ?should_stop t assumptions =
 let solves t = t.n_solves
 
 (* One-shot interface: a fresh solver per call, so repeated solves of the
-   same CNF are bit-for-bit deterministic (no retained state). *)
+   same CNF are bit-for-bit deterministic (no retained state). The solver is
+   sized from the CNF once, so a small query allocates small arrays. *)
 let solve_stats ?max_conflicts ?should_stop (cnf : Cnf.t) =
-  let t = create () in
+  let t =
+    create_sized ~cap:cnf.Cnf.nvars ~clauses:(Cnf.num_clauses cnf)
+  in
   ensure_vars t cnf.Cnf.nvars;
   List.iter (add_clause t) cnf.Cnf.clauses;
   let result, stats = solve_assuming_stats ?max_conflicts ?should_stop t [] in

@@ -8,7 +8,22 @@
     survive across {!solve_assuming} calls, so the model checkers extend a
     live CNF (depth [k+1] reuses everything learnt at depth [k]) instead of
     rebuilding it. Restarts backtrack to the assumption prefix — never
-    below — and no warm-start state is reset between calls. *)
+    below — and no warm-start state is reset between calls.
+
+    Layout: each clause is an int array, each literal's watch list is a
+    growable int stack, and the decision order is a binary heap that moves
+    a hole instead of swapping (Floyd's method on pop). Propagation visits
+    watches with plain loops and allocates only when a stack grows.
+
+    Search identity: the search is fixed by the visit order of each watch
+    stack (most recently pushed watch first; the watches a visit keeps are
+    pushed back in visit order) and by the heap's total order (higher
+    activity first, then the lower variable index). Every decision,
+    propagation, learnt clause, model and {!stats} counter follows from
+    those two orders and the restart and phase policies. The golden pins
+    in [test/test_sat.ml] hold the solver to them; a change that alters
+    the search on purpose (blocker literals, clause minimisation, another
+    restart or phase policy) updates the pins. *)
 
 type result =
   | Sat of bool array  (** [model.(v-1)] is the value of DIMACS variable [v] *)
@@ -41,9 +56,11 @@ val create : unit -> t
 val add_clause : t -> int list -> unit
 (** Add a problem clause (DIMACS literals, i.e. nonzero ints where [-v]
     is the negation of variable [v]). Variables are allocated on demand.
-    Must be called between solves (the solver is at decision level 0).
-    Clauses are simplified against permanent root-level assignments; an
-    empty clause makes the solver permanently unsatisfiable. *)
+    Must be called between solves (the solver is at decision level 0);
+    raises [Invalid_argument] when called during one, e.g. from a
+    [should_stop] callback. Clauses are simplified against permanent
+    root-level assignments; an empty clause makes the solver permanently
+    unsatisfiable. *)
 
 val solve_assuming :
   ?max_conflicts:int -> ?should_stop:(unit -> bool) -> t -> int list -> result
@@ -72,7 +89,8 @@ val solves : t -> int
 (** {1 One-shot interface}
 
     Each call builds a fresh solver, so repeated solves of the same CNF are
-    bit-for-bit deterministic. *)
+    bit-for-bit deterministic. The solver's arrays are sized from the CNF
+    once (its [nvars] and clause count). *)
 
 val solve : ?max_conflicts:int -> ?should_stop:(unit -> bool) -> Cnf.t -> result
 (** [max_conflicts] defaults to unlimited. [should_stop] is a cooperative

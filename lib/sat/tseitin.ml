@@ -1,8 +1,11 @@
+module Int_tbl = Hashtbl.Make (Int)
+
 type ctx = {
   mutable next_var : int;
   mutable clauses : int list list;
   mutable num_clauses : int;
-  node_lit : (int, int) Hashtbl.t;  (* Bexpr node id -> literal *)
+  node_lit : int Int_tbl.t;  (* Bexpr node id -> literal *)
+  inputs : int Int_tbl.t;    (* Bexpr input variable -> DIMACS variable *)
   mutable const_true : int option;  (* variable forced true, lazily made *)
   on_clause : (int list -> unit) option;
       (* streaming sink: clauses go straight to a live solver instead of
@@ -11,11 +14,22 @@ type ctx = {
 
 let create ?on_clause () =
   { next_var = 0; clauses = []; num_clauses = 0;
-    node_lit = Hashtbl.create 997; const_true = None; on_clause }
+    node_lit = Int_tbl.create 256; inputs = Int_tbl.create 64;
+    const_true = None; on_clause }
 
 let fresh_var ctx =
   ctx.next_var <- ctx.next_var + 1;
   ctx.next_var
+
+let input_var ctx v =
+  match Int_tbl.find ctx.inputs v with
+  | cv -> cv
+  | exception Not_found ->
+    let cv = fresh_var ctx in
+    Int_tbl.replace ctx.inputs v cv;
+    cv
+
+let find_input ctx v = Int_tbl.find_opt ctx.inputs v
 
 let add_clause ctx lits =
   (match ctx.on_clause with
@@ -38,9 +52,9 @@ let lit_of_bexpr ctx var_map root =
   (* The cache key is the Bexpr node id, so shared nodes encode once. Note
      the cache lives in the context: re-encoding the same DAG is free. *)
   let rec go (e : Rtl.Bexpr.t) =
-    match Hashtbl.find_opt ctx.node_lit (Rtl.Bexpr.id e) with
-    | Some l -> l
-    | None ->
+    match Int_tbl.find ctx.node_lit (Rtl.Bexpr.id e) with
+    | l -> l
+    | exception Not_found ->
       let l =
         match e.node with
         | Rtl.Bexpr.True -> true_lit ctx
@@ -81,7 +95,7 @@ let lit_of_bexpr ctx var_map root =
           add_clause ctx [ o; -lt; -lf ];
           o
       in
-      Hashtbl.replace ctx.node_lit (Rtl.Bexpr.id e) l;
+      Int_tbl.replace ctx.node_lit (Rtl.Bexpr.id e) l;
       l
   in
   go root

@@ -15,6 +15,17 @@ val create : ?on_clause:(int list -> unit) -> unit -> ctx
 val fresh_var : ctx -> int
 (** A fresh DIMACS variable (returned positive). *)
 
+val input_var : ctx -> int -> int
+(** [input_var ctx v] is the DIMACS variable standing for [Bexpr] input
+    variable [v] in this context, allocated with {!fresh_var} on first
+    use. [lit_of_bexpr ctx (input_var ctx)] encodes a DAG over the
+    context's own inputs. *)
+
+val find_input : ctx -> int -> int option
+(** The variable {!input_var} allocated for [v], if any. [None] means
+    [input_var] was never asked for [v] in this context, so no clause or
+    assumption of this context mentions it. *)
+
 val lit_of_bexpr : ctx -> (int -> int) -> Rtl.Bexpr.t -> int
 (** [lit_of_bexpr ctx var_map e] encodes [e], mapping each [Bexpr] input
     variable [v] to the DIMACS variable [var_map v] (which must already be

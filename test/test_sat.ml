@@ -156,6 +156,233 @@ let prop_tseitin_equisat =
       | Solver.Unknown -> false)
 
 
+(* --- golden search pins ---
+
+   Exact work counters and results of fixed instances. They pin the
+   search itself, not just the verdicts: a change to the solver's data
+   structures must keep every decision, the propagation order, every
+   learnt clause and every model. A change that alters the search on
+   purpose (a new restart or phase policy, blocker literals, clause
+   minimisation) updates these pins in the same commit. Models are pinned
+   by a digest of their bit string, BMC violations by a digest of the
+   printed trace. *)
+
+let model_digest m =
+  String.init (Array.length m) (fun i -> if m.(i) then '1' else '0')
+  |> Digest.string |> Digest.to_hex |> fun h -> String.sub h 0 12
+
+let result_sig = function
+  | Solver.Sat m -> "sat:" ^ model_digest m
+  | Solver.Unsat -> "unsat"
+  | Solver.Unknown -> "unknown"
+
+let stats_sig (s : Solver.stats) =
+  Printf.sprintf "d=%d c=%d p=%d r=%d l=%d" s.Solver.decisions
+    s.Solver.conflicts s.Solver.propagations s.Solver.restarts
+    s.Solver.learned
+
+let php pigeons holes =
+  let var p h = (p * holes) + h + 1 in
+  let at_least = List.init pigeons (fun p -> List.init holes (var p)) in
+  let at_most =
+    List.concat_map
+      (fun h ->
+        List.concat_map
+          (fun p1 ->
+            List.filter_map
+              (fun p2 ->
+                if p2 > p1 then Some [ -var p1 h; -var p2 h ] else None)
+              (List.init pigeons Fun.id))
+          (List.init pigeons Fun.id))
+      (List.init holes Fun.id)
+  in
+  Cnf.create ~nvars:(pigeons * holes) (at_least @ at_most)
+
+(* a uniform random 3-clause over [nvars] variables: three distinct
+   variables, independent signs *)
+let random_clause st nvars =
+  let rec pick acc =
+    if List.length acc = 3 then acc
+    else
+      let v = 1 + Random.State.int st nvars in
+      if List.mem v acc then pick acc else pick (v :: acc)
+  in
+  List.map (fun v -> if Random.State.bool st then v else -v) (pick [])
+
+let random_3sat ~seed ~nvars ~nclauses =
+  let st = Random.State.make [| seed |] in
+  Cnf.create ~nvars (List.init nclauses (fun _ -> random_clause st nvars))
+
+let golden_php () =
+  let r, s = Solver.solve_stats (php 7 6) in
+  [ ("php(7,6)", result_sig r ^ " " ^ stats_sig s) ]
+
+let golden_random () =
+  List.init 12 (fun seed ->
+      let r, s =
+        Solver.solve_stats (random_3sat ~seed ~nvars:100 ~nclauses:427)
+      in
+      (Printf.sprintf "3sat seed %d" seed, result_sig r ^ " " ^ stats_sig s))
+
+(* one persistent solver: a satisfiable base, then per step a fresh
+   assumption set, a solve, and five more random clauses *)
+let golden_incremental () =
+  let st = Random.State.make [| 2024 |] in
+  let nvars = 80 in
+  let t = Solver.create () in
+  for _ = 1 to 240 do
+    Solver.add_clause t (random_clause st nvars)
+  done;
+  List.init 16 (fun step ->
+      let assumps =
+        List.init (2 + Random.State.int st 5) (fun _ ->
+            let v = 1 + Random.State.int st nvars in
+            if Random.State.bool st then v else -v)
+      in
+      let r, s = Solver.solve_assuming_stats t assumps in
+      for _ = 1 to 5 do
+        Solver.add_clause t (random_clause st nvars)
+      done;
+      (Printf.sprintf "step %d" step, result_sig r ^ " " ^ stats_sig s))
+
+let chip_obligation ~mname ~key =
+  let chip = Chip.Generator.generate ~with_bugs:true () in
+  let works =
+    List.filter
+      (fun (w : Core.Campaign.work) ->
+        w.Core.Campaign.w_mdl.Rtl.Mdl.name = mname)
+      (Core.Campaign.work_items chip)
+  in
+  let props =
+    List.map
+      (fun (w : Core.Campaign.work) ->
+        ( w.Core.Campaign.w_vunit_name ^ "/" ^ w.Core.Campaign.w_prop_name,
+          w.Core.Campaign.w_assert,
+          w.Core.Campaign.w_assumes ))
+      works
+  in
+  let mdl = (List.hd works).Core.Campaign.w_mdl in
+  List.assoc key (Mc.Engine.prepare_module mdl ~props)
+
+let bmc_sig r =
+  let kind, (s : Mc.Bmc.stats) =
+    match r with
+    | Mc.Bmc.No_violation_upto (d, s) -> (Printf.sprintf "holds<=%d" d, s)
+    | Mc.Bmc.Violation (tr, s) ->
+      let printed = Format.asprintf "%a" Mc.Trace.pp tr in
+      ("violation:" ^ Digest.to_hex (Digest.string printed), s)
+    | Mc.Bmc.Inconclusive s -> ("inconclusive", s)
+  in
+  Printf.sprintf "%s depth=%d vars=%d clauses=%d d=%d c=%d p=%d r=%d reused=%d"
+    kind s.Mc.Bmc.depth s.Mc.Bmc.cnf_vars s.Mc.Bmc.cnf_clauses
+    s.Mc.Bmc.decisions s.Mc.Bmc.conflicts s.Mc.Bmc.propagations
+    s.Mc.Bmc.restarts s.Mc.Bmc.reused
+
+let golden_bmc () =
+  List.map
+    (fun (mname, key) ->
+      let nl, ok_signal, constraint_signal = chip_obligation ~mname ~key in
+      ( mname ^ "." ^ key,
+        bmc_sig
+          (Mc.Bmc.check ?constraint_signal nl ~ok_signal ~depth:40) ))
+    [ ("a_csr", "a_csr_edetect/pCheck_csr_q");
+      ("c_macro_if", "c_macro_if_edetect/pCheckIn_DIN") ]
+
+let golden =
+  [ ("php(7,6)",
+     "unsat d=863 c=723 p=9594 r=3 l=722");
+    ("3sat seed 0",
+     "unsat d=293 c=251 p=5856 r=1 l=250");
+    ("3sat seed 1",
+     "unsat d=397 c=329 p=8152 r=2 l=328");
+    ("3sat seed 2",
+     "unsat d=538 c=442 p=9943 r=2 l=441");
+    ("3sat seed 3",
+     "sat:9aafa94c6dfc d=254 c=201 p=4777 r=1 l=201");
+    ("3sat seed 4",
+     "unsat d=505 c=427 p=9694 r=2 l=426");
+    ("3sat seed 5",
+     "sat:d685a19aa0e0 d=295 c=228 p=5619 r=1 l=228");
+    ("3sat seed 6",
+     "unsat d=534 c=451 p=10931 r=2 l=450");
+    ("3sat seed 7",
+     "unsat d=514 c=432 p=10194 r=2 l=431");
+    ("3sat seed 8",
+     "unsat d=677 c=574 p=13979 r=3 l=573");
+    ("3sat seed 9",
+     "sat:d120a99113f2 d=151 c=108 p=2470 r=1 l=108");
+    ("3sat seed 10",
+     "sat:e1bfe7d39620 d=143 c=103 p=2837 r=1 l=103");
+    ("3sat seed 11",
+     "sat:9c81563176a1 d=49 c=25 p=774 r=0 l=25");
+    ("step 0",
+     "sat:71cb29a093b2 d=20 c=1 p=97 r=0 l=1");
+    ("step 1",
+     "sat:7a36790d49df d=47 c=24 p=621 r=0 l=24");
+    ("step 2",
+     "sat:6c5f4ce14d36 d=35 c=21 p=455 r=0 l=21");
+    ("step 3",
+     "sat:bce5dd8efab9 d=11 c=0 p=80 r=0 l=0");
+    ("step 4",
+     "sat:8cc2c6481f57 d=28 c=9 p=300 r=0 l=9");
+    ("step 5",
+     "sat:9086df75cb4d d=32 c=20 p=547 r=0 l=20");
+    ("step 6",
+     "sat:f1220fa98706 d=16 c=3 p=125 r=0 l=3");
+    ("step 7",
+     "sat:ba9640162ca9 d=65 c=42 p=923 r=0 l=42");
+    ("step 8",
+     "unsat d=0 c=0 p=5 r=0 l=0");
+    ("step 9",
+     "sat:bd68317281ed d=45 c=24 p=489 r=0 l=24");
+    ("step 10",
+     "sat:b1907011b0fb d=13 c=5 p=182 r=0 l=5");
+    ("step 11",
+     "unsat d=38 c=33 p=760 r=0 l=32");
+    ("step 12",
+     "sat:8ee7e74e36d9 d=98 c=68 p=1325 r=0 l=68");
+    ("step 13",
+     "sat:8ee7e74e36d9 d=19 c=0 p=80 r=0 l=0");
+    ("step 14",
+     "unsat d=11 c=9 p=195 r=0 l=8");
+    ("step 15",
+     "unsat d=36 c=34 p=676 r=0 l=33");
+    ("a_csr.a_csr_edetect/pCheck_csr_q",
+     "holds<=40 depth=40 vars=2530 clauses=7553 d=17430 c=3960 p=115206 \
+      r=15 reused=40");
+    ("c_macro_if.c_macro_if_edetect/pCheckIn_DIN",
+     "violation:7bbf3124386975fe63bbbc504f2e9cd1 depth=1 vars=58 \
+      clauses=143 d=72 c=47 p=430 r=0 reused=1") ]
+
+let check_golden observed () =
+  List.iter
+    (fun (name, got) ->
+      match List.assoc_opt name golden with
+      | Some want -> Alcotest.(check string) name want got
+      | None -> Alcotest.failf "no golden pin for %s" name)
+    (observed ())
+
+(* add_clause is only legal between solves: a clause added from inside the
+   search (here, from the stop callback) is rejected, and the solver takes
+   clauses again once the call has returned *)
+let test_add_clause_level0 () =
+  let t = Solver.create () in
+  List.iter (Solver.add_clause t) (php 7 6).Cnf.clauses;
+  let rejected = ref 0 in
+  let should_stop () =
+    (try Solver.add_clause t [ 1; 2 ]
+     with Invalid_argument _ -> incr rejected);
+    true
+  in
+  (match Solver.solve_assuming ~should_stop t [] with
+   | Solver.Unknown -> ()
+   | Solver.Sat _ | Solver.Unsat -> Alcotest.fail "expected the stop to fire");
+  Alcotest.(check int) "clause rejected mid-search" 1 !rejected;
+  Solver.add_clause t [ 1; 2 ];
+  Alcotest.(check bool) "php(7,6) still unsat" true
+    (is_unsat (Solver.solve_assuming t []))
+
+
 (* --- DIMACS --- *)
 
 let test_dimacs_roundtrip () =
@@ -198,6 +425,16 @@ let () =
          Alcotest.test_case "errors" `Quick test_dimacs_errors;
          Alcotest.test_case "comments and spacing" `Quick
            test_dimacs_comments_and_spacing ]);
+      ("golden",
+       [ Alcotest.test_case "php(7,6)" `Quick (check_golden golden_php);
+         Alcotest.test_case "random 3-SAT batch" `Quick
+           (check_golden golden_random);
+         Alcotest.test_case "assumption sequence" `Quick
+           (check_golden golden_incremental);
+         Alcotest.test_case "seeded-chip BMC depth 40" `Quick
+           (check_golden golden_bmc);
+         Alcotest.test_case "add_clause only at level 0" `Quick
+           test_add_clause_level0 ]);
       ("properties",
        List.map QCheck_alcotest.to_alcotest
          [ prop_solver_correct; prop_tseitin_equisat ]) ]
