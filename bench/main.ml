@@ -38,8 +38,18 @@ let racing_info : (string * string) option ref = ref None
 (* (starved label, healed label) once the healing artifact has run both *)
 let healing_info : (string * string) option ref = ref None
 
-(* (scratch label, incremental label) once the incremental artifact has run *)
-let incremental_info : (string * string) option ref = ref None
+(* the engine-level scratch-vs-incremental comparison, once the incremental
+   artifact has run *)
+type incremental_cmp = {
+  scratch_label : string;
+  inc_label : string;
+  cones : int;
+  scratch_wall_s : float;
+  inc_wall_s : float;
+  identical : bool;
+}
+
+let incremental_info : incremental_cmp option ref = ref None
 
 let run_campaign ?budget ?strategy ?portfolio ?race_jobs ?self_heal
     ?(cache = campaign_cache) label chip =
@@ -171,39 +181,19 @@ let write_bench_json path =
   let incremental_json =
     match !incremental_info with
     | None -> []
-    | Some (scratch_label, inc_label) -> (
-      match
-        ( List.assoc_opt scratch_label !campaign_runs,
-          List.assoc_opt inc_label !campaign_runs )
-      with
-      | Some s, Some i ->
-        let g (c : Core.Campaign.t) = c.Core.Campaign.grand_total in
-        let sw = s.Core.Campaign.wall_time_s
-        and iw = i.Core.Campaign.wall_time_s in
-        let identical =
-          let a = g s and b = g i in
-          a.Core.Campaign.proved = b.Core.Campaign.proved
-          && a.Core.Campaign.failed = b.Core.Campaign.failed
-          && a.Core.Campaign.resource_out = b.Core.Campaign.resource_out
-          && a.Core.Campaign.errors = b.Core.Campaign.errors
-        in
-        [ ("incremental",
-           J.Obj
-             [ ("scratch_label", J.String scratch_label);
-               ("incremental_label", J.String inc_label);
-               ("scratch_wall_s", J.Float sw);
-               ("incremental_wall_s", J.Float iw);
-               ("scratch_obligations_per_s",
-                J.Float
-                  (float_of_int (g s).Core.Campaign.total
-                  /. Float.max sw 1e-9));
-               ("incremental_obligations_per_s",
-                J.Float
-                  (float_of_int (g i).Core.Campaign.total
-                  /. Float.max iw 1e-9));
-               ("speedup", J.Float (sw /. Float.max iw 1e-9));
-               ("verdicts_identical", J.Bool identical) ]) ]
-      | _ -> [])
+    | Some c ->
+      let per_s w = float_of_int c.cones /. Float.max w 1e-9 in
+      [ ("incremental",
+         J.Obj
+           [ ("scratch_label", J.String c.scratch_label);
+             ("incremental_label", J.String c.inc_label);
+             ("scratch_wall_s", J.Float c.scratch_wall_s);
+             ("incremental_wall_s", J.Float c.inc_wall_s);
+             ("scratch_obligations_per_s", J.Float (per_s c.scratch_wall_s));
+             ("incremental_obligations_per_s", J.Float (per_s c.inc_wall_s));
+             ("speedup",
+              J.Float (c.scratch_wall_s /. Float.max c.inc_wall_s 1e-9));
+             ("verdicts_identical", J.Bool c.identical) ]) ]
   in
   let j =
     J.Obj
@@ -336,58 +326,110 @@ let healing () =
   Printf.printf "  verdict flips vs starved run: %b (must be false)\n"
     ((g plain).Core.Campaign.failed <> (g healed).Core.Campaign.failed)
 
-(* Incremental SAT vs rebuild-from-scratch, on the configuration where the
-   solver actually carries state between queries: the full 2047-obligation
-   campaign pinned to the BMC strategy, whose iterative deepening is one
-   growing CNF per obligation. The scratch side is exactly what
-   [--no-incremental] runs (each depth re-encoded and re-solved from
-   nothing); the incremental side is the default. Fresh caches on both
-   sides keep the comparison cold, and the verdict totals must be
-   identical — the speedup lands in BENCH_campaign.json under
-   "incremental", where CI gates it at >= 3x. *)
+(* Every structurally distinct obligation of a chip, prepared per module
+   the way the campaign prepares it and deduplicated by canonical
+   fingerprint. *)
+let distinct_cones chip =
+  let by_module = Hashtbl.create 97 and order = ref [] in
+  List.iter
+    (fun (w : Core.Campaign.work) ->
+      let mdl = w.Core.Campaign.w_mdl in
+      let name = mdl.Rtl.Mdl.name in
+      if not (Hashtbl.mem by_module name) then order := (name, mdl) :: !order;
+      Hashtbl.replace by_module name
+        ((w.Core.Campaign.w_prop_name, w.Core.Campaign.w_assert,
+          w.Core.Campaign.w_assumes)
+        :: Option.value ~default:[] (Hashtbl.find_opt by_module name)))
+    (Core.Campaign.work_items chip);
+  let seen = Hashtbl.create 97 in
+  List.concat_map
+    (fun (name, mdl) ->
+      Mc.Engine.prepare_module mdl
+        ~props:(List.rev (Hashtbl.find by_module name))
+      |> List.filter_map (fun (_, ((nl, ok, cons) as cone)) ->
+             let roots = ok :: Option.to_list cons in
+             let fp = Rtl.Canon.fingerprint ~roots nl in
+             if Hashtbl.mem seen fp then None
+             else (
+               Hashtbl.add seen fp ();
+               Some cone)))
+    (List.rev !order)
+
+(* Incremental SAT vs fresh-solver queries, where the solver carries state
+   between queries: BMC's iterative deepening to depth 40 (double the
+   default, so solving dominates) over every distinct cone of the seeded
+   chip. The incremental side is the production engine (one growing CNF per
+   cone); the scratch side is [Qa.Scratch.bmc] (a fresh encoding and solver
+   at every depth). Both map the cones over the same domain pool, and every
+   cone's verdict, depth and trace length must agree. The speedup lands in
+   BENCH_campaign.json under "incremental", where CI gates it at >= 3x. The
+   BMC-only campaign row "bmc-incremental" is kept for the baseline's
+   verdict totals. *)
 let incremental () =
-  header "Incremental SAT vs scratch re-encoding (BMC strategy, full campaign)";
-  (* depth 40 (double the default) so solving dominates the shared
-     per-module preparation: iterative deepening to depth d costs the
-     scratch side O(d^2) re-encoded frames and the incremental side O(d) *)
-  let base = { Mc.Engine.default_budget with Mc.Engine.bmc_depth = 40 } in
-  let scratch =
-    run_campaign
-      ~budget:{ base with Mc.Engine.incremental = false }
-      ~strategy:Mc.Engine.Bmc
-      ~cache:(Mc.Cache.create ())
-      "bmc-scratch" (Lazy.force chip)
-  in
-  let inc =
-    run_campaign ~budget:base ~strategy:Mc.Engine.Bmc
-      ~cache:(Mc.Cache.create ())
+  header
+    "Incremental SAT vs scratch re-encoding (BMC at depth 40, distinct cones)";
+  let depth = 40 in
+  let budget = { Mc.Engine.default_budget with Mc.Engine.bmc_depth = depth } in
+  let campaign =
+    run_campaign ~budget ~strategy:Mc.Engine.Bmc ~cache:(Mc.Cache.create ())
       "bmc-incremental" (Lazy.force chip)
   in
-  incremental_info := Some ("bmc-scratch", "bmc-incremental");
-  let g (c : Core.Campaign.t) = c.Core.Campaign.grand_total in
-  Printf.printf "  verdict totals identical: %b\n"
-    (let s = g scratch and i = g inc in
-     s.Core.Campaign.proved = i.Core.Campaign.proved
-     && s.Core.Campaign.failed = i.Core.Campaign.failed
-     && s.Core.Campaign.resource_out = i.Core.Campaign.resource_out
-     && s.Core.Campaign.errors = i.Core.Campaign.errors);
-  let sw = scratch.Core.Campaign.wall_time_s
-  and iw = inc.Core.Campaign.wall_time_s in
+  let cones = Array.of_list (distinct_cones (Lazy.force chip)) in
+  let pool = Core.Executor.pool ~jobs:campaign_jobs in
+  let run check =
+    let t0 = Unix.gettimeofday () in
+    let sigs =
+      Core.Executor.map pool
+        (fun (nl, ok_signal, constraint_signal) ->
+          let o : Mc.Engine.outcome = check ?constraint_signal nl ~ok_signal in
+          match o.Mc.Engine.verdict with
+          | Mc.Engine.Failed tr ->
+            Printf.sprintf "violation:%d:%d" (Mc.Trace.length tr)
+              o.Mc.Engine.iterations
+          | Mc.Engine.Proved_bounded d -> Printf.sprintf "clean:%d" d
+          | Mc.Engine.Proved -> "proved"
+          | Mc.Engine.Resource_out cause -> "resource-out:" ^ cause
+          | Mc.Engine.Error msg -> "error:" ^ msg)
+        cones
+    in
+    (sigs, Unix.gettimeofday () -. t0)
+  in
+  let inc, iw =
+    run (fun ?constraint_signal nl ~ok_signal ->
+        Mc.Engine.check_netlist ~budget ?constraint_signal
+          ~strategy:Mc.Engine.Bmc nl ~ok_signal)
+  in
+  let scratch, sw =
+    run (fun ?constraint_signal nl ~ok_signal ->
+        Qa.Scratch.bmc ~max_conflicts:budget.Mc.Engine.sat_max_conflicts
+          ?constraint_signal nl ~ok_signal ~depth)
+  in
+  let identical = inc = scratch in
+  incremental_info :=
+    Some
+      { scratch_label = Printf.sprintf "scratch-bmc@%d" depth;
+        inc_label = Printf.sprintf "bmc@%d" depth; cones = Array.length cones;
+        scratch_wall_s = sw; inc_wall_s = iw; identical };
+  Printf.printf "  %d distinct cones on %d domain(s)\n" (Array.length cones)
+    campaign_jobs;
+  Printf.printf "  per-cone verdicts, depths and trace lengths identical: %b\n"
+    identical;
   Printf.printf
-    "  scratch %.1fs (%.1f obligations/s), incremental %.1fs (%.1f \
-     obligations/s) -> speedup %.2fx\n"
+    "  scratch %.1fs (%.1f cones/s), incremental %.1fs (%.1f cones/s) -> \
+     speedup %.2fx\n"
     sw
-    (float_of_int (g scratch).Core.Campaign.total /. Float.max sw 1e-9)
+    (float_of_int (Array.length cones) /. Float.max sw 1e-9)
     iw
-    (float_of_int (g inc).Core.Campaign.total /. Float.max iw 1e-9)
+    (float_of_int (Array.length cones) /. Float.max iw 1e-9)
     (sw /. Float.max iw 1e-9);
-  Printf.printf "  incremental reuse: %d warm solves\n"
+  Printf.printf "  bmc-incremental campaign: %.1fs, %d warm solves\n"
+    campaign.Core.Campaign.wall_time_s
     (List.fold_left
        (fun a (r : Core.Campaign.prop_result) ->
          a
          + r.Core.Campaign.outcome.Mc.Engine.perf
              .Mc.Engine.incremental_reuse)
-       0 inc.Core.Campaign.results)
+       0 campaign.Core.Campaign.results)
 
 let table3 () =
   header "Table 3: classification of logic bugs";

@@ -141,7 +141,7 @@ let write_diagnosis_dir dir (ds : Diag.Diagnosis.diagnosed list) =
 
 let campaign_cmd =
   let run with_bugs jobs csv cache_path no_cache deadline node_limit
-      no_incremental max_retries journal_path resume trace metrics
+      max_retries journal_path resume trace metrics
       progress_interval diagnose portfolio_spec race_jobs self_heal
       status_socket flight_path no_flight =
     try
@@ -164,8 +164,8 @@ let campaign_cmd =
       let recording = trace <> None || metrics <> None in
       if recording then Obs.Telemetry.start ();
       let budget =
-        match (deadline, node_limit, no_incremental) with
-        | None, None, false -> None
+        match (deadline, node_limit) with
+        | None, None -> None
         | _ ->
           Some
             { Mc.Engine.default_budget with
@@ -178,8 +178,7 @@ let campaign_cmd =
                 (match node_limit with
                  | Some _ -> node_limit
                  | None ->
-                   Mc.Engine.default_budget.Mc.Engine.pobdd_node_limit);
-              incremental = not no_incremental }
+                   Mc.Engine.default_budget.Mc.Engine.pobdd_node_limit) }
       in
       let portfolio =
         match portfolio_spec with
@@ -404,17 +403,6 @@ let campaign_cmd =
                    resource-out verdict. Pair with --self-heal to recover \
                    starved obligations by partitioning.")
   in
-  let no_incremental =
-    Arg.(value & flag
-         & info [ "no-incremental" ]
-             ~doc:"Disable incremental SAT solving: BMC, k-induction and IC3 \
-                   rebuild their CNF encodings from scratch at every depth \
-                   instead of keeping one live solver per obligation. \
-                   Verdicts are identical either way (the differential suite \
-                   enforces it); this is the slow oracle mode. Cache and \
-                   journal keys carry a distinct salt, so scratch runs never \
-                   answer incremental ones.")
-  in
   let max_retries =
     Arg.(value & opt int 2
          & info [ "max-retries" ] ~docv:"N"
@@ -465,14 +453,16 @@ let campaign_cmd =
     Arg.(value
          & opt ~vopt:(Some "default") (some string) None
          & info [ "portfolio" ] ~docv:"SPEC"
-             ~doc:"Check each obligation with a portfolio of engine \
-                   strategies instead of the auto escalation ladder. SPEC \
-                   is $(b,default) (a node-capped bdd-combined probe, then \
-                   k-induction, ic3, and a full-budget pobdd backstop) or a \
-                   comma-separated list of strategy names. With --jobs > 1 \
-                   the members race per obligation and the first conclusive \
-                   verdict cancels its siblings; verdicts are identical to \
-                   running the same portfolio sequentially.")
+             ~doc:"Check each obligation with this portfolio of engine \
+                   strategies instead of $(b,auto) (bdd-combined, then \
+                   pobdd, then bmc, up to the first conclusive member; \
+                   never raced). SPEC is $(b,default) (a node-capped \
+                   bdd-combined probe, then k-induction, ic3, and a \
+                   full-budget pobdd backstop) or a comma-separated list \
+                   of strategy names. With --jobs > 1 the members race per \
+                   obligation and the first conclusive verdict cancels its \
+                   siblings; verdicts are identical to running the same \
+                   portfolio sequentially.")
   in
   let race_jobs =
     Arg.(value & opt (some int) None
@@ -520,7 +510,7 @@ let campaign_cmd =
   in
   Cmd.v (Cmd.info "campaign" ~doc:"Run the full formal campaign (Table 2).")
     Term.(const run $ with_bugs $ jobs $ csv $ cache_path $ no_cache
-          $ deadline $ node_limit $ no_incremental $ max_retries
+          $ deadline $ node_limit $ max_retries
           $ journal_path $ resume $ trace $ metrics $ progress_interval
           $ diagnose $ portfolio $ race_jobs $ self_heal $ status_socket
           $ flight_path $ no_flight)
@@ -769,12 +759,10 @@ let fig7_cmd =
 (* ---- check ---- *)
 
 let check_cmd =
-  let run arch bug psl_file strategy no_incremental =
-    let budget =
-      { Mc.Engine.default_budget with
-        Mc.Engine.incremental = not no_incremental }
+  let run arch bug psl_file strategy =
+    let strategy =
+      Option.map (strategy_of_name ~budget:Mc.Engine.default_budget) strategy
     in
-    let strategy = Option.map (strategy_of_name ~budget) strategy in
     let leaf = make_archetype ~bug arch in
     let info = Verifiable.Transform.apply leaf.Chip.Archetype.mdl in
     let vunits =
@@ -809,7 +797,7 @@ let check_cmd =
             in
             Printf.printf "%-28s %-30s %s (%.3fs)\n" name verdict
               o.Mc.Engine.engine_used o.Mc.Engine.time_s)
-          (Mc.Engine.check_vunit ~budget ?strategy
+          (Mc.Engine.check_vunit ?strategy
              info.Verifiable.Transform.mdl vunit))
       vunits;
     exit (if !failures > 0 then 1 else 0)
@@ -836,17 +824,10 @@ let check_cmd =
                      "Engine strategy to use instead of auto (%s)."
                      (String.concat ", " strategy_names)))
   in
-  let no_incremental =
-    Arg.(value & flag
-         & info [ "no-incremental" ]
-             ~doc:"Rebuild SAT encodings from scratch at every depth instead \
-                   of keeping one live solver (the slow differential-oracle \
-                   mode; verdicts are identical).")
-  in
   Cmd.v
     (Cmd.info "check"
        ~doc:"Model-check PSL against an archetype's Verifiable RTL.")
-    Term.(const run $ arch $ bug $ psl $ strategy $ no_incremental)
+    Term.(const run $ arch $ bug $ psl $ strategy)
 
 (* ---- infer ---- *)
 

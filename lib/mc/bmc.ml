@@ -195,70 +195,35 @@ let solve_depth ?(max_conflicts = max_int) ?(should_stop = fun () -> false)
   | Solver.Sat model ->
     (`Violation (trace_of_model inc model ~fail_frame:depth), st)
 
-let check ?(incremental = true) ?(max_conflicts = max_int)
-    ?(deadline = Deadline.none) ?constraint_signal nl ~ok_signal ~depth =
-  let shared =
-    if incremental then Some (create_inc ?constraint_signal nl ~ok_signal)
-    else None
-  in
+let check ?(max_conflicts = max_int) ?(deadline = Deadline.none)
+    ?constraint_signal nl ~ok_signal ~depth =
+  let inc = create_inc ?constraint_signal nl ~ok_signal in
   let acc = ref Solver.zero_stats in
   let reused = ref 0 in
-  let add (s : Solver.stats) =
-    acc :=
-      { Solver.decisions = !acc.Solver.decisions + s.Solver.decisions;
-        conflicts = !acc.Solver.conflicts + s.Solver.conflicts;
-        propagations = !acc.Solver.propagations + s.Solver.propagations;
-        restarts = !acc.Solver.restarts + s.Solver.restarts;
-        learned = !acc.Solver.learned + s.Solver.learned }
-  in
-  let mk_stats ~depth inc =
+  let mk_stats ~depth =
     { depth; cnf_vars = inc_cnf_vars inc; cnf_clauses = inc_cnf_clauses inc;
       decisions = !acc.Solver.decisions; conflicts = !acc.Solver.conflicts;
       propagations = !acc.Solver.propagations;
       restarts = !acc.Solver.restarts; reused = !reused }
   in
   let rec go d =
-    if d > depth then
-      (* depth < 0: nothing checked at all *)
-      match shared with
-      | Some inc -> No_violation_upto (depth, mk_stats ~depth inc)
-      | None ->
-        No_violation_upto
-          ( depth,
-            { depth; cnf_vars = 0; cnf_clauses = 0; decisions = 0;
-              conflicts = 0; propagations = 0; restarts = 0; reused = 0 } )
+    (* depth < 0: nothing checked at all *)
+    if d > depth then No_violation_upto (depth, mk_stats ~depth)
     else begin
       Deadline.check deadline;
-      let inc =
-        match shared with
-        | Some inc ->
-          if d > 0 then incr reused;
-          inc
-        | None -> create_inc ?constraint_signal nl ~ok_signal
-      in
+      if d > 0 then incr reused;
       Beacon.report ~engine:"bmc" ~step:d ~work:(inc_cnf_vars inc);
       let outcome, st =
         solve_depth ~max_conflicts ~should_stop:(Deadline.checker deadline)
           inc ~depth:d
       in
-      add st;
+      acc := Solver.add_stats !acc st;
       match outcome with
       | `No_violation ->
-        if d = depth then No_violation_upto (depth, mk_stats ~depth inc)
+        if d = depth then No_violation_upto (depth, mk_stats ~depth)
         else go (d + 1)
-      | `Unknown -> Inconclusive (mk_stats ~depth:d inc)
-      | `Violation trace -> Violation (trace, mk_stats ~depth:d inc)
+      | `Unknown -> Inconclusive (mk_stats ~depth:d)
+      | `Violation trace -> Violation (trace, mk_stats ~depth:d)
     end
   in
   go 0
-
-let find_shortest ?incremental ?max_conflicts ?deadline ?constraint_signal nl
-    ~ok_signal ~max_depth =
-  if max_depth < 0 then
-    No_violation_upto
-      ( -1,
-        { depth = -1; cnf_vars = 0; cnf_clauses = 0; decisions = 0;
-          conflicts = 0; propagations = 0; restarts = 0; reused = 0 } )
-  else
-    check ?incremental ?max_conflicts ?deadline ?constraint_signal nl
-      ~ok_signal ~depth:max_depth

@@ -1,12 +1,10 @@
 (** SAT-based bounded model checking: unroll the netlist one time frame at a
     time and ask the CDCL solver for a violating path at each depth.
 
-    The checker is incremental by default: one live solver per obligation,
-    with depth [k+1] extending depth [k]'s CNF (per-frame bad literals are
-    solved as assumptions, so nothing needs retiring) and every learnt
-    clause retained. [~incremental:false] rebuilds the encoding and solver
-    from scratch at every depth — same queries, same verdicts, used as the
-    differential-testing oracle. *)
+    The checker is incremental: one live solver per obligation, with depth
+    [k+1] extending depth [k]'s CNF (per-frame bad literals are solved as
+    assumptions, so nothing needs retiring) and every learnt clause
+    retained. *)
 
 type stats = {
   depth : int;
@@ -16,8 +14,7 @@ type stats = {
   conflicts : int;
   propagations : int;
   restarts : int;
-  reused : int;
-      (** solves answered by a warm solver (0 in scratch mode) *)
+  reused : int;  (** solves answered by a warm solver *)
 }
 
 type result =
@@ -26,7 +23,6 @@ type result =
   | Inconclusive of stats  (** solver conflict budget exhausted *)
 
 val check :
-  ?incremental:bool ->
   ?max_conflicts:int ->
   ?deadline:Deadline.t ->
   ?constraint_signal:string ->
@@ -44,22 +40,11 @@ val check :
     callback (yielding {!Inconclusive}). [max_conflicts] bounds each
     per-depth solve. *)
 
-val find_shortest :
-  ?incremental:bool ->
-  ?max_conflicts:int ->
-  ?deadline:Deadline.t ->
-  ?constraint_signal:string ->
-  Rtl.Netlist.t ->
-  ok_signal:string ->
-  max_depth:int ->
-  result
-(** Same as {!check} (which already deepens iteratively); kept as the
-    explicit shortest-counterexample entry point. *)
-
 (** {1 Incremental context}
 
-    Exposed so k-induction (base case) and the differential test suite can
-    drive the per-depth queries directly. *)
+    Exposed so k-induction (base case) and the scratch oracle
+    ([Qa.Scratch], a fresh context per depth) can drive the per-depth
+    queries directly. *)
 
 type inc
 

@@ -21,7 +21,6 @@ and budget = {
   sat_max_conflicts : int;
   ic3_max_frames : int;
   wall_deadline_s : float option;
-  incremental : bool;
 }
 
 let strategy_name = function
@@ -48,7 +47,7 @@ let default_budget =
   { bdd_node_limit = Some 2_000_000; pobdd_node_limit = Some 8_000_000;
     pobdd_split_vars = 2; bmc_depth = 20; induction_max_k = 20;
     sat_max_conflicts = 2_000_000; ic3_max_frames = 32;
-    wall_deadline_s = None; incremental = true }
+    wall_deadline_s = None }
 
 let degrade_budget b =
   let half = Option.map (fun n -> max 1 (n / 2)) in
@@ -369,9 +368,8 @@ let run_bmc ~acc ~budget ~deadline nl ok_signal constraint_signal =
         learned = 0 }
   in
   let f () =
-    Bmc.check ~incremental:budget.incremental
-      ~max_conflicts:budget.sat_max_conflicts ~deadline ?constraint_signal nl
-      ~ok_signal ~depth:budget.bmc_depth
+    Bmc.check ~max_conflicts:budget.sat_max_conflicts ~deadline
+      ?constraint_signal nl ~ok_signal ~depth:budget.bmc_depth
   in
   match Telemetry.span ~cat:"engine" "bmc" (fun () -> timed f) with
   | exception Deadline.Expired -> resource_out deadline_msg "bmc"
@@ -432,8 +430,7 @@ let check_atomic ~budget ?constraint_signal ~deadline ~strategy nl ~ok_signal =
             restarts = s.Induction.restarts; learned = 0 }
       in
       let f () =
-        Induction.check ~incremental:budget.incremental
-          ~max_conflicts:budget.sat_max_conflicts
+        Induction.check ~max_conflicts:budget.sat_max_conflicts
           ~max_k:budget.induction_max_k ~deadline ?constraint_signal nl
           ~ok_signal
       in
@@ -471,8 +468,7 @@ let check_atomic ~budget ?constraint_signal ~deadline ~strategy nl ~ok_signal =
             learned = 0 }
       in
       let f () =
-        Ic3.check ~incremental:budget.incremental
-          ~max_conflicts:budget.sat_max_conflicts
+        Ic3.check ~max_conflicts:budget.sat_max_conflicts
           ~max_frames:budget.ic3_max_frames ~deadline ?constraint_signal nl
           ~ok_signal
       in

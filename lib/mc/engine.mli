@@ -34,11 +34,6 @@ and budget = {
   wall_deadline_s : float option;
       (** cooperative wall-clock bound for the whole check, across every
           escalation stage; expiry yields [Resource_out "deadline"] *)
-  incremental : bool;
-      (** keep one live SAT solver per obligation in BMC/k-induction/IC3
-          (clause persistence + learnt-clause retention across depths and
-          queries). [false] rebuilds each encoding from scratch — the
-          differential-testing oracle, exposed as [--no-incremental] *)
 }
 
 val strategy_name : strategy -> string
@@ -99,8 +94,8 @@ type perf = {
   sat_propagations : int;
   sat_restarts : int;
   incremental_reuse : int;
-      (** SAT solves answered by a warm persistent solver (incremental
-          mode), summed across engines; 0 when scratch mode ran *)
+      (** SAT solves answered by a warm persistent solver, summed across
+          engines *)
   unroll_depth : int;  (** deepest BMC unroll, [-1] if BMC never ran *)
   final_k : int;  (** k-induction's final [k], [-1] if it never ran *)
   ic3_frames : int;  (** IC3's highest frame, [-1] if it never ran *)

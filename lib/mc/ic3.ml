@@ -28,7 +28,7 @@ type cube = (int * bool) list
 exception Limit_hit
 exception Cex of int  (* transitions from an initial state to a bad state *)
 
-let check ?(incremental = true) ?(max_conflicts = max_int) ?(max_frames = 32)
+let check ?(max_conflicts = max_int) ?(max_frames = 32)
     ?(deadline = Deadline.none) ?constraint_signal nl ~ok_signal =
   let flat = B.flatten nl in
   let nstate =
@@ -61,24 +61,17 @@ let check ?(incremental = true) ?(max_conflicts = max_int) ?(max_frames = 32)
   let deltas = Array.make (max_frames + 2) ([] : cube list) in
   let n_clauses = ref 0 and n_ctis = ref 0 and n_sat_calls = ref 0 in
   let sat = ref Solver.zero_stats in
-  let acc_st (s : Solver.stats) =
-    sat :=
-      { Solver.decisions = !sat.Solver.decisions + s.Solver.decisions;
-        conflicts = !sat.Solver.conflicts + s.Solver.conflicts;
-        propagations = !sat.Solver.propagations + s.Solver.propagations;
-        restarts = !sat.Solver.restarts + s.Solver.restarts;
-        learned = !sat.Solver.learned + s.Solver.learned }
-  in
+  let acc_st s = sat := Solver.add_stats !sat s in
   let stats_at k =
     { frames = k; clauses = !n_clauses; ctis = !n_ctis;
       sat_calls = !n_sat_calls; decisions = !sat.Solver.decisions;
       conflicts = !sat.Solver.conflicts;
       propagations = !sat.Solver.propagations;
       restarts = !sat.Solver.restarts;
-      reused = (if incremental then max 0 (!n_sat_calls - 1) else 0) }
+      reused = max 0 (!n_sat_calls - 1) }
   in
   (* ------------------------------------------------------------------ *)
-  (* Incremental query engine: ONE persistent solver for the whole run.
+  (* Query engine: ONE persistent solver for the whole run.
      The transition cone (bad, constraint, next-state functions) is
      encoded once; frame membership is switched by per-frame activation
      literals — clause [c] entering delta [i] adds (~act_i \/ ~c), and a
@@ -87,49 +80,47 @@ let check ?(incremental = true) ?(max_conflicts = max_int) ?(max_frames = 32)
      stay sound: frames only ever strengthen). Level-0 queries assume the
      init-state literals directly, per-query block cubes get a one-shot
      activation literal retired by a unit right after the solve. *)
-  let inc_solver = Solver.create () in
-  let inc_ctx = Tseitin.create ~on_clause:(Solver.add_clause inc_solver) () in
-  let inc_var_map = Tseitin.input_var inc_ctx in
-  let inc_state_lit v b =
-    let sv = inc_var_map v in
+  let solver = Solver.create () in
+  let ctx = Tseitin.create ~on_clause:(Solver.add_clause solver) () in
+  let var_map = Tseitin.input_var ctx in
+  let state_lit v b =
+    let sv = var_map v in
     if b then sv else -sv
   in
-  let inc_not_cube c = List.map (fun (v, b) -> -inc_state_lit v b) c in
+  let not_cube c = List.map (fun (v, b) -> -state_lit v b) c in
   let act = Array.make (max_frames + 2) 0 in
   let act_lit j =
-    if act.(j) = 0 then act.(j) <- Tseitin.fresh_var inc_ctx;
+    if act.(j) = 0 then act.(j) <- Tseitin.fresh_var ctx;
     act.(j)
   in
-  let inc_bad_lit = ref 0 in
+  let bad_memo = ref 0 in
   let bad_lit () =
-    if !inc_bad_lit = 0 then
-      inc_bad_lit := Tseitin.lit_of_bexpr inc_ctx inc_var_map bad0;
-    !inc_bad_lit
+    if !bad_memo = 0 then
+      bad_memo := Tseitin.lit_of_bexpr ctx var_map bad0;
+    !bad_memo
   in
-  let inc_next_lit = Array.make (max nstate 1) 0 in
+  let next_lits = Array.make (max nstate 1) 0 in
   let next_lit v =
-    if inc_next_lit.(v) = 0 then
-      inc_next_lit.(v) <- Tseitin.lit_of_bexpr inc_ctx inc_var_map next_of.(v);
-    inc_next_lit.(v)
+    if next_lits.(v) = 0 then
+      next_lits.(v) <- Tseitin.lit_of_bexpr ctx var_map next_of.(v);
+    next_lits.(v)
   in
-  if incremental then (
-    match constraint0 with
-    | Some c ->
-      Tseitin.assert_lit inc_ctx (Tseitin.lit_of_bexpr inc_ctx inc_var_map c)
-    | None -> ());
+  (match constraint0 with
+   | Some c ->
+     Tseitin.assert_lit ctx (Tseitin.lit_of_bexpr ctx var_map c)
+   | None -> ());
   (* called whenever a cube lands in deltas.(i), including forward moves:
      the copy under the new frame's activation literal makes it visible to
      queries at that level *)
   let frame_clause_added i c =
-    if incremental then
-      Tseitin.add_clause inc_ctx (-act_lit i :: inc_not_cube c)
+    Tseitin.add_clause ctx (-act_lit i :: not_cube c)
   in
-  let solve_query_inc ~level ~block_cube ~target =
+  let solve_query ~level ~block_cube ~target =
     incr n_sat_calls;
     let assumptions = ref [] in
     if level = 0 then
       for v = nstate - 1 downto 0 do
-        assumptions := inc_state_lit v init_val.(v) :: !assumptions
+        assumptions := state_lit v init_val.(v) :: !assumptions
       done
     else
       for j = Array.length deltas - 1 downto level do
@@ -138,8 +129,8 @@ let check ?(incremental = true) ?(max_conflicts = max_int) ?(max_frames = 32)
     let retire = ref None in
     (match block_cube with
      | Some c ->
-       let b = Tseitin.fresh_var inc_ctx in
-       Tseitin.add_clause inc_ctx (-b :: inc_not_cube c);
+       let b = Tseitin.fresh_var ctx in
+       Tseitin.add_clause ctx (-b :: not_cube c);
        assumptions := b :: !assumptions;
        retire := Some b
      | None -> ());
@@ -153,80 +144,22 @@ let check ?(incremental = true) ?(max_conflicts = max_int) ?(max_frames = 32)
          c);
     let result, st =
       Solver.solve_assuming_stats ~max_conflicts
-        ~should_stop:(Deadline.checker deadline) inc_solver !assumptions
+        ~should_stop:(Deadline.checker deadline) solver !assumptions
     in
     acc_st st;
     (match !retire with
-     | Some b -> Solver.add_clause inc_solver [ -b ]
+     | Some b -> Solver.add_clause solver [ -b ]
      | None -> ());
-    match result with
-    | Solver.Unsat -> `Unsat
-    | Solver.Unknown -> raise Limit_hit
-    | Solver.Sat model ->
-      let value v =
-        match Tseitin.find_input inc_ctx v with
-        | Some cv -> cv <= Array.length model && model.(cv - 1)
-        | None -> false
-      in
-      `Sat (List.init nstate (fun v -> (v, value v)))
-  in
-  (* ------------------------------------------------------------------ *)
-  (* Scratch query engine: one fresh CNF per query — F_level (init units at
-     level 0), the input constraint, an optional blocking clause, and
-     either the bad cone or a successor cube. Kept as the differential
-     oracle for the persistent-solver path. *)
-  let solve_query_scratch ~level ~block_cube ~target =
-    incr n_sat_calls;
-    let ctx = Tseitin.create () in
-    let var_map = Tseitin.input_var ctx in
-    let state_lit v b =
-      let sv = var_map v in
-      if b then sv else -sv
-    in
-    let not_cube c = List.map (fun (v, b) -> -state_lit v b) c in
-    if level = 0 then
-      for v = 0 to nstate - 1 do
-        Tseitin.assert_lit ctx (state_lit v init_val.(v))
-      done
-    else
-      for j = level to Array.length deltas - 1 do
-        List.iter (fun c -> Tseitin.add_clause ctx (not_cube c)) deltas.(j)
-      done;
-    (match constraint0 with
-     | Some c -> Tseitin.assert_lit ctx (Tseitin.lit_of_bexpr ctx var_map c)
-     | None -> ());
-    (match block_cube with
-     | Some c -> Tseitin.add_clause ctx (not_cube c)
-     | None -> ());
-    (match target with
-     | `Bad ->
-       Tseitin.assert_lit ctx (Tseitin.lit_of_bexpr ctx var_map bad0)
-     | `Next (c : cube) ->
-       List.iter
-         (fun (v, b) ->
-           let l = Tseitin.lit_of_bexpr ctx var_map next_of.(v) in
-           Tseitin.assert_lit ctx (if b then l else -l))
-         c);
-    let cnf = Tseitin.to_cnf ctx in
-    let result, st =
-      Solver.solve_stats ~max_conflicts
-        ~should_stop:(Deadline.checker deadline) cnf
-    in
-    acc_st st;
     match result with
     | Solver.Unsat -> `Unsat
     | Solver.Unknown -> raise Limit_hit
     | Solver.Sat model ->
       let value v =
         match Tseitin.find_input ctx v with
-        | Some cv -> model.(cv - 1)
+        | Some cv -> cv <= Array.length model && model.(cv - 1)
         | None -> false
       in
       `Sat (List.init nstate (fun v -> (v, value v)))
-  in
-  let solve_query ~level ~block_cube ~target =
-    if incremental then solve_query_inc ~level ~block_cube ~target
-    else solve_query_scratch ~level ~block_cube ~target
   in
   (* SAT(F_{level} /\ ~cube /\ constraint /\ T /\ cube'): is [cube] still
      reachable in one step from F_level states outside it? *)
@@ -322,23 +255,21 @@ let check ?(incremental = true) ?(max_conflicts = max_int) ?(max_frames = 32)
     (* the CTI chain is a concrete path from reset to a bad state, so a
        bounded check at exactly that depth must reproduce it — and yields
        a trace in the engine's standard replayable format *)
+    let acc_bmc (b : Bmc.stats) =
+      acc_st
+        { Solver.decisions = b.Bmc.decisions; conflicts = b.Bmc.conflicts;
+          propagations = b.Bmc.propagations; restarts = b.Bmc.restarts;
+          learned = 0 }
+    in
     match
-      Bmc.check ~incremental ~max_conflicts ~deadline ?constraint_signal nl
-        ~ok_signal ~depth
+      Bmc.check ~max_conflicts ~deadline ?constraint_signal nl ~ok_signal
+        ~depth
     with
     | Bmc.Violation (trace, bst) ->
-      acc_st
-        { Solver.decisions = bst.Bmc.decisions;
-          conflicts = bst.Bmc.conflicts;
-          propagations = bst.Bmc.propagations;
-          restarts = bst.Bmc.restarts; learned = 0 };
+      acc_bmc bst;
       Violation (trace, stats_at depth)
     | Bmc.Inconclusive bst ->
-      acc_st
-        { Solver.decisions = bst.Bmc.decisions;
-          conflicts = bst.Bmc.conflicts;
-          propagations = bst.Bmc.propagations;
-          restarts = bst.Bmc.restarts; learned = 0 };
+      acc_bmc bst;
       Inconclusive (Solver_limit, stats_at depth)
     | Bmc.No_violation_upto _ ->
       failwith "Ic3.check: CTI chain not confirmed by bounded check")

@@ -15,16 +15,13 @@
     IC3 learns exactly the strengthening clauses it needs — this is the
     portfolio's unbounded fallback for ["kind-inconclusive"] obligations.
 
-    All SAT queries run on the in-tree CDCL solver ({!Solver}). By default
-    one persistent solver serves every query of a run: the transition cone
-    is encoded once, frame membership is selected by per-frame activation
+    All SAT queries run on the in-tree CDCL solver ({!Solver}). One
+    persistent solver serves every query of a run: the transition cone is
+    encoded once, frame membership is selected by per-frame activation
     literals assumed per query, and per-query block cubes get one-shot
     activation literals retired right after the solve — so learnt clauses
-    accumulate across the thousands of relative-induction queries.
-    [~incremental:false] keeps the original fresh-Tseitin-per-query path
-    as a differential oracle (the two modes answer the same queries but may
-    explore different models, so frame counts can differ; verdicts agree).
-    The cooperative [deadline] is polled at every frame, obligation, and
+    accumulate across the thousands of relative-induction queries. The
+    cooperative [deadline] is polled at every frame, obligation, and
     generalization step, and inside the solver via [should_stop]. *)
 
 type stats = {
@@ -36,9 +33,7 @@ type stats = {
   conflicts : int;
   propagations : int;
   restarts : int;
-  reused : int;
-      (** queries answered by the warm persistent solver (0 in scratch
-          mode) *)
+  reused : int;  (** queries answered by the warm persistent solver *)
 }
 
 type reason =
@@ -51,7 +46,6 @@ type result =
   | Inconclusive of reason * stats
 
 val check :
-  ?incremental:bool ->
   ?max_conflicts:int ->
   ?max_frames:int ->
   ?deadline:Deadline.t ->

@@ -17,9 +17,9 @@ type result =
   | Violation of Trace.t * stats
   | Inconclusive of stats
 
-(* Incremental inductive-step context: frames 0..j with a FREE initial state
-   (the frame-0 state bits are the registers' own Bexpr variables), encoded
-   once into a live solver. At step k the query is "ok at frames 0..k-1,
+(* Inductive-step context: frames 0..j with a FREE initial state (the
+   frame-0 state bits are the registers' own Bexpr variables), encoded once
+   into a live solver. At step k the query is "ok at frames 0..k-1,
    ~ok at frame k": the ok literals for frames < k are permanent units
    (they only ever grow as k does), and the frame-k ~ok is an assumption —
    so stepping from k to k+1 adds one frame, one unit, and keeps every
@@ -38,7 +38,17 @@ type step = {
   mutable asserted_upto : int;  (* ok units added for frames < this *)
 }
 
-let create_step ?constraint_signal (flat : B.flat) ~nstate ~ninputs ~ok0 =
+let create_step ?constraint_signal nl ~ok_signal =
+  let flat = B.flatten nl in
+  let nstate =
+    List.fold_left (fun acc (_, v) -> acc + Array.length v) 0 flat.B.reg_vars
+  in
+  let ninputs =
+    List.fold_left (fun acc (_, v) -> acc + Array.length v) 0 flat.B.input_vars
+  in
+  let ok_bits = flat.B.fn ok_signal in
+  if Array.length ok_bits <> 1 then
+    invalid_arg "Induction.check: ok signal must be 1 bit";
   let next_of = Array.make (max nstate 1) X.fls in
   List.iter
     (fun (reg_name, (vars : int array)) ->
@@ -50,7 +60,7 @@ let create_step ?constraint_signal (flat : B.flat) ~nstate ~ninputs ~ok0 =
   in
   let solver = Solver.create () in
   let ctx = Tseitin.create ~on_clause:(Solver.add_clause solver) () in
-  { nstate; ninputs; ok0; constraint0; next_of; ctx; solver;
+  { nstate; ninputs; ok0 = ok_bits.(0); constraint0; next_of; ctx; solver;
     state = Array.init (max nstate 1) X.var; next_frame = 0; ok_lits = [];
     asserted_upto = 0 }
 
@@ -74,50 +84,42 @@ let step_encode_to st j =
     st.next_frame <- f + 1
   done
 
-(* The inductive step at depth k: UNSAT means any k consecutive satisfying
-   states can only step to a satisfying state, which together with the base
-   case proves the property for all time. *)
-let step_query ~max_conflicts ~should_stop st ~k =
+(* The inductive step of iteration k: "ok at frames 0..k, ~ok at frame
+   k+1". UNSAT means any k+1 consecutive satisfying states can only step
+   to a satisfying state, which together with the base case proves the
+   property for all time. *)
+let solve_step ?(max_conflicts = max_int) ?(should_stop = fun () -> false) st
+    ~k =
+  let k = k + 1 in
   step_encode_to st k;
   for f = st.asserted_upto to k - 1 do
     Tseitin.assert_lit st.ctx (List.assoc f st.ok_lits)
   done;
   if k > st.asserted_upto then st.asserted_upto <- k;
   let nok = -List.assoc k st.ok_lits in
-  Solver.solve_assuming_stats ~max_conflicts ~should_stop st.solver [ nok ]
+  match
+    Solver.solve_assuming_stats ~max_conflicts ~should_stop st.solver [ nok ]
+  with
+  | Solver.Unsat, stats -> (`Inductive, stats)
+  | Solver.Sat _, stats -> (`Not_inductive, stats)
+  | Solver.Unknown, stats -> (`Unknown, stats)
 
-let check ?(incremental = true) ?(max_conflicts = max_int) ?(max_k = 20)
+let check ?(max_conflicts = max_int) ?(max_k = 20)
     ?(deadline = Deadline.none) ?constraint_signal nl ~ok_signal =
-  let flat = B.flatten nl in
-  let nstate =
-    List.fold_left (fun acc (_, v) -> acc + Array.length v) 0 flat.B.reg_vars
-  in
-  let ninputs =
-    List.fold_left (fun acc (_, v) -> acc + Array.length v) 0 flat.B.input_vars
-  in
-  let ok_bits = flat.B.fn ok_signal in
-  if Array.length ok_bits <> 1 then
-    invalid_arg "Induction.check: ok signal must be 1 bit";
-  let ok0 = ok_bits.(0) in
-  let mk_step () = create_step ?constraint_signal flat ~nstate ~ninputs ~ok0 in
-  let mk_base () = Bmc.create_inc ?constraint_signal nl ~ok_signal in
-  (* in incremental mode one base-case unroller and one step-case solver
-     live for the whole run; in scratch mode both are rebuilt per k *)
-  let shared_base = if incremental then Some (mk_base ()) else None in
-  let shared_step = if incremental then Some (mk_step ()) else None in
+  (* one base-case unroller and one step-case solver live for the whole
+     run, so iteration k+1 only encodes the new frame *)
+  let step = create_step ?constraint_signal nl ~ok_signal in
+  let base = Bmc.create_inc ?constraint_signal nl ~ok_signal in
   let reused = ref 0 in
   (* SAT work accumulated across every base-case and step-case solve, so the
      reported counters cover the whole induction run, not just the last CNF *)
-  let acc_d = ref 0 and acc_c = ref 0 and acc_p = ref 0 and acc_r = ref 0 in
-  let add_sat (s : Solver.stats) =
-    acc_d := !acc_d + s.Solver.decisions;
-    acc_c := !acc_c + s.Solver.conflicts;
-    acc_p := !acc_p + s.Solver.propagations;
-    acc_r := !acc_r + s.Solver.restarts
-  in
+  let acc = ref Solver.zero_stats in
+  let add_sat s = acc := Solver.add_stats !acc s in
   let mk_stats ~k ~cnf_vars ~cnf_clauses =
-    { k; cnf_vars; cnf_clauses; decisions = !acc_d; conflicts = !acc_c;
-      propagations = !acc_p; restarts = !acc_r; reused = !reused }
+    { k; cnf_vars; cnf_clauses; decisions = !acc.Solver.decisions;
+      conflicts = !acc.Solver.conflicts;
+      propagations = !acc.Solver.propagations;
+      restarts = !acc.Solver.restarts; reused = !reused }
   in
   let should_stop = Deadline.checker deadline in
   let rec iterate k =
@@ -125,16 +127,10 @@ let check ?(incremental = true) ?(max_conflicts = max_int) ?(max_k = 20)
       Inconclusive (mk_stats ~k:max_k ~cnf_vars:0 ~cnf_clauses:0)
     else begin
       Deadline.check deadline;
-      Beacon.report ~engine:"k-induction" ~step:k ~work:(!acc_c);
+      Beacon.report ~engine:"k-induction" ~step:k ~work:!acc.Solver.conflicts;
       (* base case: frames < k were proven clean by earlier iterations, so
          only the new depth k needs solving *)
-      let base =
-        match shared_base with
-        | Some b ->
-          if k > 0 then incr reused;
-          b
-        | None -> mk_base ()
-      in
+      if k > 0 then incr reused;
       let base_outcome, base_sat =
         Bmc.solve_depth ~max_conflicts ~should_stop base ~depth:k
       in
@@ -148,25 +144,17 @@ let check ?(incremental = true) ?(max_conflicts = max_int) ?(max_k = 20)
       | `Unknown ->
         Inconclusive (mk_stats ~k ~cnf_vars:base_vars ~cnf_clauses:base_clauses)
       | `No_violation -> (
-        let st =
-          match shared_step with
-          | Some s ->
-            if k > 0 then incr reused;
-            s
-          | None -> mk_step ()
-        in
-        let result, step_sat =
-          step_query ~max_conflicts ~should_stop st ~k:(k + 1)
-        in
+        if k > 0 then incr reused;
+        let result, step_sat = solve_step ~max_conflicts ~should_stop step ~k in
         add_sat step_sat;
-        let step_vars = Tseitin.num_vars st.ctx
-        and step_clauses = Tseitin.num_clauses st.ctx in
+        let step_vars = Tseitin.num_vars step.ctx
+        and step_clauses = Tseitin.num_clauses step.ctx in
         match result with
-        | Solver.Unsat ->
+        | `Inductive ->
           Proved_by_induction
             (mk_stats ~k ~cnf_vars:step_vars ~cnf_clauses:step_clauses)
-        | Solver.Sat _ -> iterate (k + 1)
-        | Solver.Unknown ->
+        | `Not_inductive -> iterate (k + 1)
+        | `Unknown ->
           Inconclusive
             (mk_stats ~k ~cnf_vars:step_vars ~cnf_clauses:step_clauses))
     end

@@ -14,8 +14,7 @@ type stats = {
   conflicts : int;
   propagations : int;
   restarts : int;
-  reused : int;
-      (** solves answered by a warm solver (0 in scratch mode) *)
+  reused : int;  (** solves answered by a warm solver *)
 }
 
 type result =
@@ -26,7 +25,6 @@ type result =
           budget ran out *)
 
 val check :
-  ?incremental:bool ->
   ?max_conflicts:int ->
   ?max_k:int ->
   ?deadline:Deadline.t ->
@@ -36,11 +34,32 @@ val check :
   result
 (** [max_k] defaults to 20. The inductive step is the plain variant (no
     state-uniqueness constraints), which is sound but may stay inconclusive
-    on properties that need strengthening. By default ([incremental], on)
-    one live base-case unroller and one live step-case solver are kept for
-    the whole run, so iteration [k+1] only encodes the new frame;
-    [~incremental:false] rebuilds both from scratch at every [k] with
-    identical queries and verdicts. [deadline] is threaded into every
-    base-case BMC run and step-case SAT search; expiry raises
-    {!Deadline.Expired} between frames and yields {!Inconclusive} from
-    within a search. *)
+    on properties that need strengthening. One live base-case unroller
+    ({!Bmc.create_inc}) and one live step context ({!create_step}) serve
+    the whole run, so iteration [k+1] only encodes the new frame.
+    [deadline] is threaded into every base-case and step-case SAT search;
+    expiry raises {!Deadline.Expired} between iterations and yields
+    {!Inconclusive} from within a search. *)
+
+(** {1 Step context}
+
+    Exposed, like {!Bmc.create_inc}, so the scratch oracle ([Qa.Scratch],
+    a fresh context per [k]) can drive the step-case queries directly. *)
+
+type step
+
+val create_step :
+  ?constraint_signal:string -> Rtl.Netlist.t -> ok_signal:string -> step
+
+val solve_step :
+  ?max_conflicts:int ->
+  ?should_stop:(unit -> bool) ->
+  step ->
+  k:int ->
+  [ `Inductive | `Not_inductive | `Unknown ] * Solver.stats
+(** The step case of iteration [k]: can [k+1] consecutive
+    property-satisfying states from a free start step to a violating one?
+    [`Inductive] (UNSAT) together with a clean base case up to [k] proves
+    the property. Calls on one context must use non-decreasing [k]; the
+    live encoding is extended as needed. Returns the per-call solver
+    stats. *)

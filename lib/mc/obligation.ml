@@ -33,15 +33,11 @@ let of_vunit ?budget ?strategy mdl vunit ~meta =
 let budget_salt (b : Engine.budget) =
   let lim = function None -> "-" | Some n -> string_of_int n in
   let sec = function None -> "-" | Some s -> Printf.sprintf "%g" s in
-  (* the [incremental] marker is appended only when the flag is off: default
-     budgets keep the exact salt format (and hence cache keys) of earlier
-     releases, while a scratch-mode run can never alias an incremental one *)
-  Printf.sprintf "%s/%s/%d/%d/%d/%d/%d/%s%s" (lim b.Engine.bdd_node_limit)
+  Printf.sprintf "%s/%s/%d/%d/%d/%d/%d/%s" (lim b.Engine.bdd_node_limit)
     (lim b.Engine.pobdd_node_limit)
     b.Engine.pobdd_split_vars b.Engine.bmc_depth b.Engine.induction_max_k
     b.Engine.sat_max_conflicts b.Engine.ic3_max_frames
     (sec b.Engine.wall_deadline_s)
-    (if b.Engine.incremental then "" else "/noinc")
 
 (* A portfolio's key must cover its members and their budgets — two
    portfolios under one name but different member caps answer different

@@ -47,11 +47,11 @@ let strategies =
   [ E.Bdd_forward; E.Bdd_backward; E.Bdd_combined; E.Pobdd; E.Bmc; E.Kind;
     E.Ic3 ]
 
-(* the SAT engines additionally run with [incremental = false], so every
-   fuzz case cross-checks the warm persistent-solver path against the
-   rebuild-from-scratch oracle through the same verdict-split / replay /
-   simulation machinery as any other engine pair *)
-let scratch_strategies = [ E.Bmc; E.Kind; E.Ic3 ]
+(* BMC and k-induction additionally run as their scratch oracles
+   ({!Scratch}), so every fuzz case cross-checks the warm persistent-solver
+   path against fresh-solver queries through the same verdict-split /
+   replay / simulation machinery as any other engine pair *)
+let scratch_strategies = [ E.Bmc; E.Kind ]
 
 let fuzz_budget =
   {
@@ -63,8 +63,21 @@ let fuzz_budget =
     sat_max_conflicts = 200_000;
     ic3_max_frames = 16;
     wall_deadline_s = Some 10.0;
-    incremental = true;
   }
+
+(* a strategy's scratch oracle, at the fuzz budget and its wall deadline *)
+let scratch_check strategy ?constraint_signal nl ~ok_signal =
+  let max_conflicts = fuzz_budget.E.sat_max_conflicts
+  and deadline = Mc.Deadline.of_budget fuzz_budget.E.wall_deadline_s in
+  match strategy with
+  | E.Bmc ->
+    Scratch.bmc ~max_conflicts ~deadline ?constraint_signal nl ~ok_signal
+      ~depth:fuzz_budget.E.bmc_depth
+  | E.Kind ->
+    Scratch.kind ~max_conflicts ~deadline ?constraint_signal nl ~ok_signal
+      ~max_k:fuzz_budget.E.induction_max_k
+  | s ->
+    invalid_arg ("Differential: no scratch oracle for " ^ E.strategy_name s)
 
 let run_name er =
   let n = E.strategy_name er.strategy in
@@ -164,12 +177,12 @@ let check_obligation ~case_id mdl ~cls ~prop_name ~assert_ ~assumes =
         let name =
           E.strategy_name strategy ^ if scratch then "[scratch]" else ""
         in
-        let budget =
-          if scratch then { fuzz_budget with E.incremental = false }
-          else fuzz_budget
-        in
         let outcome =
-          E.check_netlist ~budget ?constraint_signal ~strategy nl ~ok_signal
+          if scratch then
+            scratch_check strategy ?constraint_signal nl ~ok_signal
+          else
+            E.check_netlist ~budget:fuzz_budget ?constraint_signal ~strategy nl
+              ~ok_signal
         in
         let validated_fail =
           match outcome.E.verdict with

@@ -32,10 +32,10 @@ type discrepancy = {
 type engine_result = {
   strategy : Mc.Engine.strategy;
   scratch : bool;
-      (** [true] for the extra scratch-mode runs of the SAT engines
-          ([budget.incremental = false]): the same strategy re-run with the
-          persistent-solver path disabled, cross-checked against every
-          other oracle like an independent engine *)
+      (** [true] for the extra runs of the BMC and k-induction scratch
+          oracles ({!Scratch}): the same queries on a fresh solver each,
+          cross-checked against every other oracle like an independent
+          engine *)
   outcome : Mc.Engine.outcome;
   validated_fail : int option;
       (** length of the counterexample when the verdict is [Failed] and the
@@ -59,10 +59,10 @@ type report = {
 
 val strategies : Mc.Engine.strategy list
 (** The concrete strategies exercised, escalation-free:
-    BDD forward/backward/combined, POBDD, BMC, k-induction, IC3. The SAT
-    strategies (BMC, k-induction, IC3) each run twice per obligation —
-    incremental and scratch — so the warm-solver path is differentially
-    checked against the rebuild-every-depth oracle on every fuzz case. *)
+    BDD forward/backward/combined, POBDD, BMC, k-induction, IC3. BMC and
+    k-induction each run a second time per obligation as their {!Scratch}
+    oracle, so the warm-solver path is differentially checked against
+    fresh-solver queries on every fuzz case. *)
 
 val fuzz_budget : Mc.Engine.budget
 (** Reduced per-check budget (shallow BMC/induction depth, small node and

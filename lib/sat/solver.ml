@@ -61,6 +61,12 @@ type stats = {
 let zero_stats =
   { decisions = 0; conflicts = 0; propagations = 0; restarts = 0; learned = 0 }
 
+let add_stats a b =
+  { decisions = a.decisions + b.decisions;
+    conflicts = a.conflicts + b.conflicts;
+    propagations = a.propagations + b.propagations;
+    restarts = a.restarts + b.restarts; learned = a.learned + b.learned }
+
 type t = {
   mutable nvars : int;       (* highest DIMACS variable seen *)
   mutable cap : int;         (* allocated capacity of the per-var arrays *)

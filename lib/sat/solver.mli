@@ -44,6 +44,9 @@ type stats = {
 
 val zero_stats : stats
 
+val add_stats : stats -> stats -> stats
+(** Field-wise sum, for work accumulated over several solves. *)
+
 (** {1 Incremental interface} *)
 
 type t

@@ -1,58 +1,60 @@
 (* Differential lockdown of the incremental SAT path and the packed BDD
-   arena. The incremental solvers (persistent clause database, learnt-clause
-   retention, assumption solving) must be observationally identical to the
-   rebuild-from-scratch oracles: same verdicts, same final depths/k, same
-   trace lengths — on every structurally distinct seeded-chip obligation and
-   on a Qa.Gen fuzz stream. The solver itself is pinned by a QCheck
-   equivalence (solve_assuming A = fresh solve of CNF ∧ A) and a
-   determinism/retention regression. The arena BDD is pinned against
-   exhaustive truth tables across slab growth and unique-table rehashes. *)
+   arena. The incremental BMC and k-induction engines (persistent clause
+   database, learnt-clause retention, assumption solving) must be
+   observationally identical to their fresh-solver oracles in Qa.Scratch:
+   same verdicts, same final depths/k, same trace lengths. IC3 has no
+   scratch twin; it must never contradict the exact BDD verdict. Both hold
+   on every structurally distinct seeded-chip obligation and on a Qa.Gen
+   fuzz stream. The solver itself is pinned by a QCheck equivalence
+   (solve_assuming A = fresh solve of CNF ∧ A) and a determinism/retention
+   regression. The arena BDD is pinned against exhaustive truth tables
+   across slab growth and unique-table rehashes. *)
 
 module E = Mc.Engine
 
-(* ---- result signatures: what must agree between the two modes ---- *)
+(* ---- what must agree between an engine and its oracle ---- *)
 
-let bmc_sig = function
-  | Mc.Bmc.No_violation_upto (d, (s : Mc.Bmc.stats)) ->
-    Printf.sprintf "no-violation:%d:%d" d s.Mc.Bmc.depth
-  | Mc.Bmc.Violation (tr, s) ->
-    Printf.sprintf "violation:%d:%d" (Mc.Trace.length tr) s.Mc.Bmc.depth
-  | Mc.Bmc.Inconclusive _ -> "inconclusive"
+let budget =
+  { E.default_budget with
+    E.bmc_depth = 8; induction_max_k = 8; sat_max_conflicts = 50_000;
+    ic3_max_frames = 8 }
 
-let kind_sig = function
-  | Mc.Induction.Proved_by_induction (s : Mc.Induction.stats) ->
-    Printf.sprintf "proved:%d" s.Mc.Induction.k
-  | Mc.Induction.Violation (tr, s) ->
-    Printf.sprintf "violation:%d:%d" (Mc.Trace.length tr) s.Mc.Induction.k
-  | Mc.Induction.Inconclusive _ -> "inconclusive"
+(* the verdict with the depth (BMC) or k (k-induction) it was reached at,
+   and the trace length of a violation *)
+let outcome_sig (o : E.outcome) =
+  match o.E.verdict with
+  | E.Proved -> Printf.sprintf "proved:%d" o.E.iterations
+  | E.Proved_bounded d -> Printf.sprintf "no-violation:%d:%d" d o.E.iterations
+  | E.Failed tr ->
+    Printf.sprintf "violation:%d:%d" (Mc.Trace.length tr) o.E.iterations
+  | E.Resource_out _ | E.Error _ -> "inconclusive"
 
-(* IC3's two modes answer the same queries but may explore different models,
-   so frame counts and even refutation depths can differ; only the verdict
-   class is pinned *)
-let ic3_sig = function
-  | Mc.Ic3.Proved _ -> "proved"
-  | Mc.Ic3.Violation _ -> "violation"
-  | Mc.Ic3.Inconclusive _ -> "inconclusive"
-
-let check_netlist_both ~label (nl, ok_signal, constraint_signal) =
-  let bmc inc =
-    bmc_sig
-      (Mc.Bmc.check ~incremental:inc ~max_conflicts:50_000 ?constraint_signal
-         nl ~ok_signal ~depth:8)
+(* Checks one prepared cone and returns whether IC3 decided it. *)
+let check_cone ~label (nl, ok_signal, constraint_signal) =
+  let run strategy =
+    E.check_netlist ~budget ?constraint_signal ~strategy nl ~ok_signal
   in
-  Alcotest.(check string) (label ^ ": bmc") (bmc false) (bmc true);
-  let kind inc =
-    kind_sig
-      (Mc.Induction.check ~incremental:inc ~max_conflicts:50_000 ~max_k:8
-         ?constraint_signal nl ~ok_signal)
-  in
-  Alcotest.(check string) (label ^ ": kind") (kind false) (kind true);
-  let ic3 inc =
-    ic3_sig
-      (Mc.Ic3.check ~incremental:inc ~max_conflicts:50_000 ~max_frames:8
-         ?constraint_signal nl ~ok_signal)
-  in
-  Alcotest.(check string) (label ^ ": ic3") (ic3 false) (ic3 true)
+  let max_conflicts = budget.E.sat_max_conflicts in
+  Alcotest.(check string) (label ^ ": bmc")
+    (outcome_sig
+       (Qa.Scratch.bmc ~max_conflicts ?constraint_signal nl ~ok_signal
+          ~depth:budget.E.bmc_depth))
+    (outcome_sig (run E.Bmc));
+  Alcotest.(check string) (label ^ ": kind")
+    (outcome_sig
+       (Qa.Scratch.kind ~max_conflicts ?constraint_signal nl ~ok_signal
+          ~max_k:budget.E.induction_max_k))
+    (outcome_sig (run E.Kind));
+  (* a proof needs a BDD proof, a violation a BDD violation; an undecided
+     IC3 run contradicts nothing *)
+  let ic3 = run E.Ic3 and bdd = run E.Bdd_combined in
+  (match (ic3.E.verdict, bdd.E.verdict) with
+   | E.Proved, E.Proved | E.Failed _, E.Failed _ -> ()
+   | (E.Proved | E.Failed _), _ ->
+     Alcotest.failf "%s: ic3 %s contradicts bdd-combined %s" label
+       (outcome_sig ic3) (outcome_sig bdd)
+   | (E.Proved_bounded _ | E.Resource_out _ | E.Error _), _ -> ());
+  E.conclusive ic3
 
 (* every structurally distinct obligation of the seeded bug chip, prepared
    through the shared per-module path exactly like the campaign does *)
@@ -77,7 +79,7 @@ let test_seeded_chip_differential () =
         @ [ (key, w.Core.Campaign.w_assert, w.Core.Campaign.w_assumes) ]))
     works;
   let seen = Hashtbl.create 97 in
-  let unique = ref 0 and total = ref 0 in
+  let unique = ref 0 and total = ref 0 and ic3_decided = ref 0 in
   List.iter
     (fun (mname, mdl) ->
       let props = Hashtbl.find by_module mname in
@@ -91,12 +93,17 @@ let test_seeded_chip_differential () =
           if not (Hashtbl.mem seen fp) then begin
             Hashtbl.add seen fp ();
             incr unique;
-            check_netlist_both ~label:(mname ^ "." ^ key) prep
+            if check_cone ~label:(mname ^ "." ^ key) prep then
+              incr ic3_decided
           end)
         (E.prepare_module mdl ~props))
     (List.rev !order);
   Alcotest.(check int) "all obligations prepared" (List.length works) !total;
-  Alcotest.(check bool) "dedup leaves a meaningful sweep" true (!unique > 20)
+  Alcotest.(check bool) "dedup leaves a meaningful sweep" true (!unique > 20);
+  (* 135 of the chip's 139 distinct cones; the other 4 stay undecided *)
+  Alcotest.(check bool)
+    (Printf.sprintf "ic3 decides %d of %d cones" !ic3_decided !unique)
+    true (!ic3_decided >= 135)
 
 (* a Qa.Gen stream — wider parameter space than the chip, including seeded
    mutations, so violating obligations are well represented *)
@@ -110,12 +117,48 @@ let test_fuzz_stream_differential () =
         List.iter
           (fun (prop_name, assert_) ->
             let prep = E.instrumented_netlist mdl ~assert_ ~assumes in
-            check_netlist_both
-              ~label:(case.Qa.Gen.id ^ "." ^ prop_name)
-              prep)
+            ignore
+              (check_cone ~label:(case.Qa.Gen.id ^ "." ^ prop_name) prep))
           (Psl.Ast.asserts vu))
       (Verifiable.Propgen.all case.Qa.Gen.info case.Qa.Gen.spec)
   done
+
+(* the oracles stop on an expired deadline and on the conflict budget
+   with the engine facade's resource-out causes *)
+let test_scratch_budgets () =
+  let case = Qa.Gen.case_of ~seed:42 ~index:0 in
+  let mdl = case.Qa.Gen.info.Verifiable.Transform.mdl in
+  let vu =
+    snd (List.hd (Verifiable.Propgen.all case.Qa.Gen.info case.Qa.Gen.spec))
+  in
+  let assert_ = snd (List.hd (Psl.Ast.asserts vu)) in
+  let assumes = List.map snd (Psl.Ast.assumes vu) in
+  let nl, ok_signal, constraint_signal =
+    E.instrumented_netlist mdl ~assert_ ~assumes
+  in
+  let cause (o : E.outcome) =
+    match o.E.verdict with
+    | E.Resource_out c -> c
+    | _ -> "decided"
+  in
+  let expired = Mc.Deadline.after (-1.0) in
+  Alcotest.(check string) "bmc: expired deadline" E.ro_deadline
+    (cause
+       (Qa.Scratch.bmc ~deadline:expired ?constraint_signal nl ~ok_signal
+          ~depth:8));
+  Alcotest.(check string) "kind: expired deadline" E.ro_deadline
+    (cause
+       (Qa.Scratch.kind ~deadline:expired ?constraint_signal nl ~ok_signal
+          ~max_k:8));
+  let kind max_conflicts =
+    cause
+      (Qa.Scratch.kind ~max_conflicts ?constraint_signal nl ~ok_signal
+         ~max_k:8)
+  in
+  Alcotest.(check string) "kind: decided within the budget" "decided"
+    (kind 50_000);
+  Alcotest.(check string) "kind: no conflicts allowed" E.ro_kind_inconclusive
+    (kind 0)
 
 (* ---- solve_assuming A == fresh solve of (CNF ∧ A), sequenced ---- *)
 
@@ -454,7 +497,9 @@ let () =
        [ Alcotest.test_case "seeded chip: incremental == scratch" `Slow
            test_seeded_chip_differential;
          Alcotest.test_case "fuzz stream: incremental == scratch" `Slow
-           test_fuzz_stream_differential ]);
+           test_fuzz_stream_differential;
+         Alcotest.test_case "scratch oracles stop on their budgets" `Quick
+           test_scratch_budgets ]);
       ("solver",
        [ QCheck_alcotest.to_alcotest prop_solve_assuming_equiv;
          Alcotest.test_case "determinism" `Quick test_solver_determinism;

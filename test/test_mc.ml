@@ -182,8 +182,7 @@ let test_bmc_find_shortest () =
   in
   let nl = elaborated inst.Psl.Monitor.mdl in
   (match
-     Mc.Bmc.find_shortest nl ~ok_signal:inst.Psl.Monitor.invariant_ok
-       ~max_depth:20
+     Mc.Bmc.check nl ~ok_signal:inst.Psl.Monitor.invariant_ok ~depth:20
    with
    | Mc.Bmc.Violation (trace, stats) ->
      Alcotest.(check int) "minimal depth" 4 stats.Mc.Bmc.depth;
@@ -198,11 +197,20 @@ let test_bmc_find_shortest () =
   in
   let nl2 = elaborated inst2.Psl.Monitor.mdl in
   match
-    Mc.Bmc.find_shortest nl2 ~ok_signal:inst2.Psl.Monitor.invariant_ok
-      ~max_depth:10
+    Mc.Bmc.check nl2 ~ok_signal:inst2.Psl.Monitor.invariant_ok ~depth:10
   with
   | Mc.Bmc.No_violation_upto (d, _) -> Alcotest.(check int) "swept to 10" 10 d
   | Mc.Bmc.Violation _ | Mc.Bmc.Inconclusive _ -> Alcotest.fail "expected clean"
+
+(* the default strategy/budget salt, byte for byte: it is part of every
+   cache and journal key, so any change to it orphans existing caches and
+   journals and needs a format bump *)
+let test_default_key_salt () =
+  let b = "2000000/8000000/2/20/20/2000000/32/-" in
+  Alcotest.(check string) "default key salt"
+    (Printf.sprintf "portfolio:auto[bdd-combined@%s;pobdd@%s;bmc@%s]|%s" b b b
+       b)
+    (Mc.Obligation.key_salt ())
 
 let test_bmc_depth_sensitivity () =
   (* violation at depth 4 is missed with depth 3 and found with depth 4 *)
@@ -847,6 +855,8 @@ let () =
       ("obligation",
        [ Alcotest.test_case "structural fingerprints" `Quick
            test_obligation_fingerprints;
+         Alcotest.test_case "default key salt pinned" `Quick
+           test_default_key_salt;
          Alcotest.test_case "run matches engine facade" `Quick
            test_obligation_run_matches_engine;
          Alcotest.test_case "cache dedups structural clones" `Quick
